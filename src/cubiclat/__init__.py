@@ -87,7 +87,6 @@ from .lattices import (
     saturation,
     save_lattice,
     signature,
-    standard_lattice,
     twist,
     z_lattice,
 )

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 from .errors import LatticeFormatError
 from .exactlinalg import IntMatrix, RatMatrix
+from .lattices import read_json_object
 
 H3 = "h^3"
 ELL = "ell"
@@ -201,9 +202,11 @@ SURFACES: dict[str, SurfaceSpec] = {
 }
 
 
-# A surface spec file is a JSON document carrying the numerical fields of
-# SurfaceSpec.  The writer is canonical, so write/read/write round-trips
-# are byte identical, mirroring the lattice file format.
+# A surface spec file is a JSON object carrying the fields of SurfaceSpec
+# ("ruling_proportional" is optional).  It is parsed by the lattice file
+# reader ``lattices.read_json_object``, so an unreadable or malformed
+# document raises ``LatticeFormatError``.  The writer is canonical, so
+# write/read/write round-trips are byte identical.
 
 
 def surface_spec_to_json(spec: SurfaceSpec) -> str:
@@ -221,16 +224,8 @@ def surface_spec_to_json(spec: SurfaceSpec) -> str:
 
 
 def surface_spec_from_json(text: str) -> SurfaceSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise LatticeFormatError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise LatticeFormatError("surface document must be a JSON object")
     required = ("name", "degree", "pic_basis", "h_restriction", "rr", "ruling")
-    for key in required:
-        if key not in doc:
-            raise LatticeFormatError(f"missing field: {key}")
+    doc = read_json_object(text, "surface", required)
     if not isinstance(doc["name"], str) or not isinstance(doc["ruling"], str):
         raise LatticeFormatError("fields 'name' and 'ruling' must be strings")
     for key in ("degree", "rr"):

@@ -6,9 +6,9 @@ is emitted as a stable JSON document of the form
     {"command": ..., "status": "ok", "payload": {...}}
 
 and without it a terse human-readable rendering of the same data is
-printed.  Exit codes: 0 ok, 2 usage error, 3 lattice file parse error,
-4 domain error (degenerate Gram, failed precondition).  Diagnostics go
-to stderr, payloads to stdout.
+printed.  Exit codes: 0 ok, 2 usage error, 3 unknown lattice name or a
+lattice file that cannot be read or parsed, 4 domain error (degenerate
+Gram, failed precondition).  Diagnostics go to stderr, payloads to stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import admissibility, chow, cohomology, mukai
-from .errors import CubiclatError, DegenerateGramError, LatticeFormatError, ParityError
+from .errors import CubiclatError, DegenerateGramError, LatticeFormatError
 from .exactlinalg import IntMatrix, determinant
 from .lattices import (
     Lattice,
@@ -56,9 +56,6 @@ def jsonable(value):
 
 def resolve_lattice(source: str) -> Lattice:
     """Interpret a lattice argument as a catalog name or a file path."""
-    for d in (26, 42):
-        if source.strip().upper() == f"L{d}":
-            return mukai.kuznetsov_rank3_lattice(d)
     try:
         return lattice_by_name(source)
     except ValueError:
@@ -326,9 +323,6 @@ def main(argv=None) -> int:
     except LatticeFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR
-    except (DegenerateGramError, ParityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return DOMAIN_ERROR
     except (ValueError, CubiclatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DOMAIN_ERROR

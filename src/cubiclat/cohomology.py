@@ -21,6 +21,7 @@ the sign conventions of the whole module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 #: top self-intersection of the hyperplane class: the degree of a cubic
@@ -136,10 +137,6 @@ def h(power: int = 1) -> CohClass:
     return CohClass([0] * power + [1])
 
 
-def mul(a: CohClass, b: CohClass) -> CohClass:
-    return a * b
-
-
 def dual(a: CohClass) -> CohClass:
     """Degree involution: the h^k coefficient picks up the sign (-1)^k."""
     return CohClass([c if k % 2 == 0 else -c for k, c in enumerate(a.coeffs)])
@@ -156,15 +153,8 @@ def chern_tangent() -> CohClass:
     This is the Euler sequence of P^5 restricted to a degree-3
     hypersurface, truncated at h^4.
     """
-    sixth = _power(CohClass([1, 1]), 6)
+    sixth = CohClass([comb(6, k) for k in range(TOP + 1)])
     return sixth / CohClass([1, DEGREE])
-
-
-def _power(a: CohClass, n: int) -> CohClass:
-    out = one()
-    for _ in range(n):
-        out = out * a
-    return out
 
 
 def todd() -> CohClass:

@@ -465,28 +465,14 @@ def ldlt_signature(G: RatMatrix | IntMatrix) -> tuple[int, int, int]:
 
 
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Integer inverse of a square matrix with determinant +-1 (adjugate)."""
+    """Integer inverse of a square matrix with determinant +-1.
+
+    M is unimodular exactly when its Smith form is the identity; then
+    U M V = I gives M^-1 = V U.
+    """
     if not M.is_square():
         raise ValueError("inverse requires a square matrix")
-    n = M.nrows
-    det = determinant(M)
-    if det not in (1, -1):
+    D, U, V = smith_normal_form(M)
+    if D != IntMatrix.identity(M.nrows):
         raise ValueError("matrix is not unimodular")
-
-    def minor(i, j):
-        return IntMatrix(
-            [
-                [M.rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ],
-            ncols=n - 1,
-        )
-
-    adj = [
-        [((-1) ** (i + j)) * determinant(minor(j, i)) for j in range(n)]
-        for i in range(n)
-    ]
-    if det == -1:
-        adj = [[-e for e in row] for row in adj]
-    return IntMatrix(adj, ncols=n)
+    return V @ U

@@ -158,32 +158,6 @@ def odd_unimodular(p: int, q: int) -> Lattice:
     )
 
 
-_ZN_RE = re.compile(r"^Z\((-?\d+)\)$")
-_IPQ_RE = re.compile(r"^I\((\d+),(\d+)\)$")
-
-
-def standard_lattice(name: str) -> Lattice:
-    """Build a standard lattice from its name.
-
-    Accepted names: ``E8``, ``U``, ``A2``, ``Z(n)`` for nonzero n, and
-    ``I(p,q)`` for p, q >= 0 not both zero.
-    """
-    key = name.strip()
-    if key.upper() == "E8":
-        return e8()
-    if key.upper() == "U":
-        return hyperbolic_plane()
-    if key.upper() == "A2":
-        return a2()
-    m = _ZN_RE.match(key)
-    if m:
-        return z_lattice(int(m.group(1)))
-    m = _IPQ_RE.match(key)
-    if m:
-        return odd_unimodular(int(m.group(1)), int(m.group(2)))
-    raise ValueError(f"unknown standard lattice name: {name!r}")
-
-
 def twist(L: Lattice, n: int) -> Lattice:
     """Scale the bilinear form of L by the nonzero integer n."""
     if n == 0:
@@ -269,12 +243,11 @@ def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
     changes nothing.
     """
     coords = [_coerce_coords(L, b) for b in basis]
-    M = IntMatrix(coords, ncols=L.rank)
-    D, _, _ = smith_normal_form(M)
-    rank = sum(1 for t in range(min(D.nrows, D.ncols)) if D.rows[t][t] != 0)
-    if rank != len(coords):
+    # saturate_rows returns one vector per unit of rank: fewer means dependence
+    sat = saturate_rows(IntMatrix(coords, ncols=L.rank))
+    if len(sat) != len(coords):
         raise ValueError("saturation requires linearly independent input")
-    return [LatticeVec(L, b) for b in saturate_rows(M)]
+    return [LatticeVec(L, b) for b in sat]
 
 
 # ---------------------------------------------------------------------------
@@ -518,29 +491,57 @@ def hyperplane_square() -> LatticeVec:
     return LatticeVec(L, (1, 1, 1) + (0,) * 20)
 
 
-_LAMBDA_RE = re.compile(r"^Lambda_(\d+)$", re.IGNORECASE)
+def kuznetsov_rank3_lattice(d: int) -> Lattice:
+    """Built-in rank-3 lattice of determinant d on basis (lambda1, lambda2, tau).
+
+    Known instances: d = 26 and d = 42.
+    """
+    if d == 26:
+        return Lattice(3, IntMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, 8]]), label="L26")
+    if d == 42:
+        return Lattice(3, IntMatrix([[-2, 1, 0], [1, -2, 0], [0, 0, 14]]), label="L42")
+    raise ValueError("built-in lattices exist for d = 26 and d = 42 only")
+
+
+#: fixed catalog names, matched case-insensitively
+_NAMED = {
+    "e8": e8,
+    "u": hyperbolic_plane,
+    "a2": a2,
+    "gamma": cubic_lattice,
+    "k3": k3_lattice,
+    "mukai": mukai_lattice,
+    "i21_2": middle_lattice,
+    "i(21,2)": middle_lattice,
+    "l26": lambda: kuznetsov_rank3_lattice(26),
+    "l42": lambda: kuznetsov_rank3_lattice(42),
+}
+
+#: parameterized catalog names; the integer groups are the constructor's arguments
+_PATTERNS = (
+    (re.compile(r"^Z\((-?\d+)\)$"), z_lattice),
+    (re.compile(r"^I\((\d+),(\d+)\)$"), odd_unimodular),
+    (re.compile(r"^Lambda_(\d+)$", re.IGNORECASE), k3_polarized_primitive),
+)
 
 
 def lattice_by_name(name: str) -> Lattice:
     """Resolve a catalog name to a lattice.
 
-    Knows the standard names (``E8``, ``U``, ``A2``, ``Z(n)``, ``I(p,q)``)
-    plus ``Gamma``, ``K3``, ``Mukai``, ``I21_2`` and ``Lambda_<d>``.
+    Knows ``E8``, ``U``, ``A2``, ``Gamma``, ``K3``, ``Mukai``, ``I21_2``,
+    ``L26`` and ``L42`` in any case, plus ``Z(n)`` for nonzero n,
+    ``I(p,q)`` for p, q >= 0 not both zero, and ``Lambda_<d>`` for d >= 1.
+    Anything else raises ``ValueError``.
     """
     key = name.strip()
-    low = key.lower()
-    if low == "gamma":
-        return cubic_lattice()
-    if low == "k3":
-        return k3_lattice()
-    if low == "mukai":
-        return mukai_lattice()
-    if low in ("i21_2", "i(21,2)"):
-        return middle_lattice()
-    m = _LAMBDA_RE.match(key)
-    if m:
-        return k3_polarized_primitive(int(m.group(1)))
-    return standard_lattice(key)
+    build = _NAMED.get(key.lower())
+    if build is not None:
+        return build()
+    for pattern, build in _PATTERNS:
+        m = pattern.match(key)
+        if m:
+            return build(*map(int, m.groups()))
+    raise ValueError(f"unknown lattice name: {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +550,9 @@ def lattice_by_name(name: str) -> Lattice:
 # A lattice file is a JSON document with fields "rank" (integer), "gram"
 # (array of arrays of integers) and optionally "label" (string).  The
 # writer is canonical (sorted keys, fixed separators, trailing newline),
-# so write/read/write round-trips are byte identical.
+# so write/read/write round-trips are byte identical.  Surface spec files
+# (see ``chow``) are read through the same ``read_json_object``; every
+# unreadable or malformed file raises ``LatticeFormatError``.
 
 
 def lattice_to_json(L: Lattice) -> str:
@@ -559,17 +562,25 @@ def lattice_to_json(L: Lattice) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
-def lattice_from_json(text: str) -> Lattice:
+def read_json_object(text: str, kind: str, required: Sequence[str]) -> dict:
+    """Parse a JSON object holding the required fields, or raise LatticeFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise LatticeFormatError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        # integers past the interpreter's digit limit, nesting past its recursion limit
+        raise LatticeFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise LatticeFormatError("lattice document must be a JSON object")
-    if "rank" not in doc:
-        raise LatticeFormatError("missing field: rank")
-    if "gram" not in doc:
-        raise LatticeFormatError("missing field: gram")
+        raise LatticeFormatError(f"{kind} document must be a JSON object")
+    for key in required:
+        if key not in doc:
+            raise LatticeFormatError(f"missing field: {key}")
+    return doc
+
+
+def lattice_from_json(text: str) -> Lattice:
+    doc = read_json_object(text, "lattice", ("rank", "gram"))
     rank = doc["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise LatticeFormatError("field 'rank' must be a nonnegative integer")
@@ -590,8 +601,12 @@ def lattice_from_json(text: str) -> Lattice:
 
 
 def load_lattice(path: str) -> Lattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise LatticeFormatError(f"cannot read lattice file: {e}") from e
+    return lattice_from_json(text)
 
 
 def save_lattice(L: Lattice, path: str) -> None:

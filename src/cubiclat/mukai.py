@@ -28,20 +28,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DegenerateGramError, ParityError
-from .exactlinalg import IntMatrix, dot, kernel_basis, ldlt_signature, sign_normalize
+from .exactlinalg import IntMatrix, dot, kernel_basis, ldlt_signature
 from .lattices import Lattice, LatticeVec, inner_product, vectors_with_norm
-
-
-def kuznetsov_rank3_lattice(d: int) -> Lattice:
-    """Built-in rank-3 lattice of determinant d on basis (lambda1, lambda2, tau).
-
-    Known instances: d = 26 and d = 42.
-    """
-    if d == 26:
-        return Lattice(3, IntMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, 8]]), label="L26")
-    if d == 42:
-        return Lattice(3, IntMatrix([[-2, 1, 0], [1, -2, 0], [0, 0, 14]]), label="L42")
-    raise ValueError("built-in lattices exist for d = 26 and d = 42 only")
+from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
 
 
 @dataclass(frozen=True)
@@ -168,28 +157,16 @@ def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
     return None
 
 
-def _min_orthogonal_with_norm(
-    L: Lattice, gv: Sequence[int], norm: int, bound: int
-) -> tuple[int, ...] | None:
-    """Canonically smallest sign-normalized x with <gv, x> = 0, x^2 = norm."""
-    for x in _shells(bound):
-        if sign_normalize(x) != x:
-            continue
-        if dot(gv, x) != 0:
-            continue
-        if inner_product(L, x, x) == norm:
-            return x
-    return None
-
-
 def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
     """Exhaustive box search for a triple (v, v', w) as above.
 
     Candidates for v are the primitive isotropic vectors with all
     coordinates bounded by ``bound``, taken in canonical order; for each
-    the minimal completing v' and w are sought in the same box.  The
-    first fully completed candidate wins.  A definite lattice is
-    reported as structurally impossible rather than merely unsearched.
+    the minimal completing v' is sought in the same box, and w is the
+    first vector of norm -d in the box (listed once per search) that is
+    orthogonal to v.  The first fully completed candidate wins.  A
+    definite lattice is reported as structurally impossible rather than
+    merely unsearched.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")
@@ -205,14 +182,20 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
             IMPOSSIBLE, reason="definite lattice has no nonzero isotropic vector"
         )
 
+    ws = None
     for v in vectors_with_norm(L.gram, 0, bound, canonical=True):
         if math.gcd(*v) != 1:
             continue
         gv = L.gram.mul_vec(v)
+        # by Bezout some v' has <gv, v'> = 1 exactly when gcd(gv) = 1
+        if math.gcd(*gv) != 1:
+            continue
         vprime = _min_dual_one(gv, bound)
         if vprime is None:
             continue
-        w = _min_orthogonal_with_norm(L, gv, -d, bound)
+        if ws is None:
+            ws = vectors_with_norm(L.gram, -d, bound, canonical=True)
+        w = next((x for x in ws if dot(gv, x) == 0), None)
         if w is None:
             continue
         triple = IsotropicTriple(

@@ -271,6 +271,12 @@ def test_surface_spec_roundtrip_is_bit_exact():
         '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"f": 0}, "rr": 1, "ruling": "f"}',
         '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"g": 1}, "rr": 1, "ruling": "f"}',
         '{"name": "x", "degree": 1, "pic_basis": [1], "h_restriction": {"f": 1}, "rr": 1, "ruling": "f"}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),
+        pytest.param(
+            '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"f": 1}, '
+            '"rr": 1' + "0" * 5000 + ', "ruling": "f"}',
+            id="huge-integer",
+        ),
     ],
 )
 def test_surface_spec_parse_errors(text):

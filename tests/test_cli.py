@@ -94,6 +94,28 @@ def test_lattice_info_parse_error_exit_3(capsys, tmp_path):
     assert "gram" in err
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda p: p.write_text("[" * 100_000 + "]" * 100_000), id="deeply-nested"),
+        pytest.param(
+            lambda p: p.write_text('{"rank": 1, "gram": [[1' + "0" * 5000 + "]]}"),
+            id="huge-integer",
+        ),
+        pytest.param(
+            lambda p: p.write_bytes(b'{"rank": 1, "gram": [[1]], "label": "\xff"}'), id="not-utf8"
+        ),
+        pytest.param(lambda p: p.mkdir(), id="directory"),
+    ],
+)
+def test_lattice_info_unreadable_file_exit_3(capsys, tmp_path, make):
+    path = tmp_path / "hostile.json"
+    make(path)
+    code, out, err = run(capsys, "lattice", "info", str(path), "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lattice_info_unknown_name_exit_3(capsys):
     code, _, err = run(capsys, "lattice", "info", "no-such-lattice")
     assert code == 3

@@ -1,0 +1,84 @@
+"""Golden ``--json`` output of the command line.
+
+``golden_cli.json`` holds, for every command line in ``CASES``, the exact
+stdout and exit code of ``cubiclat``.  It covers every subcommand, every
+catalog name with its accepted case variants and rejected look-alikes,
+and the pinned isotropic-triple searches.  Any change to a byte of it is
+a change of observable behaviour.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from cubiclat import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+NAMES = [
+    "E8", "e8", " E8 ", "U", "u", "A2", "a2",
+    "Z(-5)", "Z(7)", "Z(05)", "I(2,1)", "I(3,0)", "I(21,2)", "i(21,2)", "I21_2", "i21_2",
+    "Gamma", "gamma", "GAMMA", "K3", "k3", "Mukai", "MUKAI",
+    "Lambda_2", "Lambda_26", "lambda_26", "LAMBDA_14",
+    "L26", "l26", " L26 ", "L42", "l42",
+    # rejected: not a catalog name and no such file
+    "Z(0)", "I(0,0)", "Lambda_0", "F4", "z(5)", "i(2,1)", "Lambda_-2", "L14", "",
+]
+
+SEARCHES = [
+    ("L26", "26", "3"), ("L26", "26", "5"), ("L26", "26", "10"), ("L26", "26", "25"),
+    ("L42", "42", "3"), ("L42", "42", "5"), ("L42", "42", "10"), ("L42", "42", "25"),
+    ("L26", "27", "10"), ("L42", "26", "5"),
+    ("I(3,0)", "1", "3"), ("I(2,1)", "1", "3"), ("I(2,1)", "2", "4"),
+    ("I(1,2)", "4", "5"), ("I(1,2)", "1", "2"),
+    ("Z(-5)", "5", "3"), ("L26", "26", "0"), ("L26", "0", "5"),
+]
+
+CASES = (
+    [
+        ["admissible", "--max", "80", "--json"],
+        ["admissible", "--max", "42", "--verbose", "--json"],
+        ["admissible", "--max", "13", "--json"],
+        ["--json", "admissible", "--max", "14"],
+        ["admissible", "--max", "0", "--json"],
+        ["admissible", "--max", "abc", "--json"],
+    ]
+    + [["lattice", "info", name, "--json"] for name in NAMES]
+    + [
+        ["mukai", "verify", "--lattice", "L26", "--v", "1,3,1", "--vp", "1,0,0",
+         "--w", "11,22,7", "--d", "26", "--json"],
+        ["mukai", "verify", "--lattice", "L26", "--v", "1,-1,1", "--vp", "1,1,0",
+         "--w", "4,3,0", "--d", "26", "--json"],
+        ["mukai", "verify", "--lattice", "L42", "--v", "1,0,0", "--vp", "0,1,0",
+         "--w", "0,0,1", "--d", "42", "--json"],
+        ["mukai", "verify", "--lattice", "L42", "--v", "1,0", "--vp", "0,1,0",
+         "--w", "0,0,1", "--d", "42", "--json"],
+    ]
+    + [["mukai", "search", "--lattice", name, "--d", d, "--bound", bound, "--json"]
+       for name, d, bound in SEARCHES]
+    + [
+        ["mukai", "search", "--lattice", "L26", "--d", "27", "--json"],
+        ["mukai", "search", "--lattice", "L26", "--json"],
+        ["mukai", "gram-lambda", "--json"],
+        ["mukai", "normalize", "--lattice", "L42", "--v", "1,3,1", "--vp", "1,0,0", "--json"],
+        ["mukai", "normalize", "--lattice", "L26", "--v", "1,-1,1", "--vp", "1,1,0", "--json"],
+        ["mukai", "normalize", "--lattice", "I(2,1)", "--v", "1,0,1", "--vp", "1,0,0", "--json"],
+        ["mukai", "normalize", "--lattice", "L26", "--v", "1,0,0", "--vp", "0,1,0", "--json"],
+    ]
+    + [["chow", "--surface", s, "--json"]
+       for s in ("plane", "veronese", "quartic-scroll", "septic-scroll", "cubic")]
+    + [["scroll-ideal", "--json"], []]
+)
+
+
+def test_golden_covers_exactly_the_cases():
+    assert [entry["argv"] for entry in json.loads(GOLDEN.read_text())] == CASES
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GOLDEN.read_text()), ids=lambda e: " ".join(e["argv"]) or "<none>"
+)
+def test_golden_cli_output(capsys, entry):
+    code = cli.main(list(entry["argv"]))
+    assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])

@@ -32,7 +32,6 @@ from cubiclat.lattices import (
     orthogonal_complement,
     saturation,
     signature,
-    standard_lattice,
     twist,
     vectors_with_norm,
     z_lattice,
@@ -71,15 +70,15 @@ def test_e8_is_even_unimodular_positive_definite():
 
 
 def test_standard_lattice_parser():
-    assert standard_lattice("E8") == e8()
-    assert standard_lattice("Z(-5)").gram == IntMatrix([[-5]])
-    assert standard_lattice("I(2,1)").rank == 3
+    assert lattice_by_name("E8") == e8()
+    assert lattice_by_name("Z(-5)").gram == IntMatrix([[-5]])
+    assert lattice_by_name("I(2,1)").rank == 3
     with pytest.raises(ValueError):
-        standard_lattice("Z(0)")
+        lattice_by_name("Z(0)")
     with pytest.raises(ValueError):
-        standard_lattice("I(0,0)")
+        lattice_by_name("I(0,0)")
     with pytest.raises(ValueError):
-        standard_lattice("F4")
+        lattice_by_name("F4")
 
 
 def test_twist():
@@ -414,6 +413,11 @@ def test_file_roundtrip_via_disk(tmp_path):
     assert load_lattice(str(path)) == L
 
 
+# nesting past the interpreter's recursion limit, an integer past its digit limit
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+HUGE_INT = "1" + "0" * 5000
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -427,6 +431,8 @@ def test_file_roundtrip_via_disk(tmp_path):
         '{"rank": 3, "gram": [[0, 1], [1, 0]]}',
         '{"rank": 2, "gram": [[0, 1], [2, 0]]}',
         '{"rank": 2, "gram": [[0, 1, 2], [1, 0, 3]]}',
+        pytest.param(DEEPLY_NESTED, id="deeply-nested"),
+        pytest.param('{"rank": 1, "gram": [[' + HUGE_INT + "]]}", id="huge-integer"),
     ],
 )
 def test_file_parse_errors(text):

@@ -1,11 +1,13 @@
 """Tests for rank-3 lattices, isotropic triples and hyperbolic normalization."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from cubiclat.errors import DegenerateGramError, ParityError
-from cubiclat.exactlinalg import IntMatrix, determinant
+from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, dot, sign_normalize
 from cubiclat.lattices import (
     Lattice,
     direct_sum,
@@ -135,6 +137,70 @@ def test_find_rejects_bad_input():
     degenerate = Lattice(3, IntMatrix([[0, 0, 0], [0, 2, 0], [0, 0, 2]]))
     with pytest.raises(DegenerateGramError):
         find_isotropic_triple(degenerate, 26, 5)
+
+
+def box_scan_triple(L, d, bound):
+    """Reference search: for each isotropic v, scan the whole box for v' and w.
+
+    Same canonical order as find_isotropic_triple (L1 norm, then
+    lexicographic; v and w sign-normalized), with no shortcuts.
+    """
+    box = sorted(itertools.product(range(-bound, bound + 1), repeat=3), key=coord_key)
+    halfbox = [x for x in box if any(x) and sign_normalize(x) == x]
+    norm = {x: dot(x, L.gram.mul_vec(x)) for x in halfbox}
+    for v in halfbox:
+        if norm[v] != 0 or math.gcd(*v) != 1:
+            continue
+        gv = L.gram.mul_vec(v)
+        vprime = next((x for x in box if dot(gv, x) == 1), None)
+        if vprime is None:
+            continue
+        w = next((x for x in halfbox if dot(gv, x) == 0 and norm[x] == -d), None)
+        if w is not None:
+            return v, vprime, w
+    return None
+
+
+def conjugate(rng, gram):
+    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        i, j = rng.sample(range(3), 2)
+        m[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(m[i], m[j])]
+    Q = IntMatrix(m)
+    return Q.transpose() @ gram @ Q
+
+
+def differential_cases():
+    rng = random.Random(2437)
+    cases = []
+    for e in (8, 8, 2, 3, 5, 6, 12, 14, 26):
+        base = direct_sum([hyperbolic_plane(), z_lattice(-e)]).gram
+        # in U + Z(-8), v = (2, 2, 1) is isotropic with gcd(G v) = 2
+        grams = [base] + [conjugate(rng, base) for _ in range(10)]
+        for gram in grams:
+            d = e if rng.random() < 0.6 else rng.choice((1, 2, 3, 4 * e, 5, 7, 9 * e))
+            cases.append((gram, d, rng.randint(3, 5)))
+    while len(cases) < 240:
+        g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        gram = IntMatrix([[g[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
+        det = abs(determinant(gram))
+        if det != 0:
+            d = det if rng.random() < 0.5 else rng.randint(1, 12)
+            cases.append((gram, d, rng.randint(2, 4)))
+    return cases
+
+
+def test_search_matches_box_scan_reference():
+    found = 0
+    for gram, d, bound in differential_cases():
+        L = Lattice(3, gram)
+        res = find_isotropic_triple(L, d, bound)
+        got = None if res.triple is None else (
+            res.triple.v.coords, res.triple.vprime.coords, res.triple.w.coords
+        )
+        assert got == box_scan_triple(L, d, bound), (gram, d, bound)
+        found += got is not None
+    assert found >= 50
 
 
 # ---------------------------------------------------------------------------
