@@ -54,7 +54,6 @@ from .errors import (
 )
 from .exactlinalg import (
     IntMatrix,
-    RatMatrix,
     determinant,
     kernel_basis,
     ldlt_signature,

@@ -29,10 +29,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LatticeFormatError
-from .exactlinalg import IntMatrix, RatMatrix
+from .exactlinalg import IntMatrix
 from .lattices import read_json_object
 
 H3 = "h^3"
@@ -44,6 +44,18 @@ _SYMBOL_ORDER = {H3: 0, ELL: 1, HR: 2}
 
 def _symbol_sort_key(sym: str) -> tuple[int, str]:
     return (_SYMBOL_ORDER.get(sym, 3), sym)
+
+
+def _signed_sum(terms: Iterable[tuple[Fraction | int, str]], sep: str) -> str:
+    """Render nonzero terms (c, symbol) as "a - b + 2<sep>c"; "0" when empty."""
+    out = ""
+    for c, sym in terms:
+        mag = sym if abs(c) == 1 else f"{abs(c)}{sep}{sym}"
+        if not out:
+            out = mag if c > 0 else f"-{mag}"
+        else:
+            out += f" + {mag}" if c > 0 else f" - {mag}"
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -94,21 +106,7 @@ class Chow3Class:
         return all(s == sym for s in self.coeffs)
 
     def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for sym, c in self.coeffs.items():
-            if c == 1:
-                term = sym
-            elif c == -1:
-                term = f"-{sym}"
-            else:
-                term = f"{c} {sym}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _signed_sum(((c, sym) for sym, c in self.coeffs.items()), " ")
 
     def __repr__(self) -> str:
         return f"Chow3Class({self.text()!r})"
@@ -390,62 +388,45 @@ _COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 @dataclass(frozen=True)
 class QuadraticForm6:
-    """Quadratic form in (u, v, w, x, y, z) as a symmetric rational matrix."""
+    """Quadratic form in (u, v, w, x, y, z) with integer coefficients.
 
-    matrix: RatMatrix
+    ``coeffs`` maps (i, j) with i <= j < 6 to the coefficient of the
+    monomial x_i x_j; zero coefficients are dropped.
+    """
+
+    coeffs: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.matrix.nrows != 6 or not self.matrix.is_symmetric():
-            raise ValueError("a 6x6 symmetric matrix is required")
+        for (i, j), c in self.coeffs.items():
+            if not 0 <= i <= j < 6:
+                raise ValueError(f"monomial key {(i, j)} needs 0 <= i <= j < 6")
+            if not isinstance(c, int):
+                raise ValueError("monomial coefficients must be integers")
+        clean = {key: c for key, c in sorted(self.coeffs.items()) if c != 0}
+        object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def from_monomials(cls, monomials: Mapping[tuple[int, int], int]) -> "QuadraticForm6":
-        m = [[Fraction(0)] * 6 for _ in range(6)]
-        for (i, j), c in monomials.items():
-            if i == j:
-                m[i][i] += Fraction(c)
-            else:
-                m[i][j] += Fraction(c, 2)
-                m[j][i] += Fraction(c, 2)
-        return cls(RatMatrix(m))
+    def __hash__(self) -> int:
+        return hash(tuple(self.coeffs.items()))
 
     def evaluate(self, point: Sequence) -> Fraction:
         p = [Fraction(a) for a in point]
         if len(p) != 6:
             raise ValueError("a point has six coordinates")
-        total = Fraction(0)
-        for i in range(6):
-            row = self.matrix.rows[i]
-            total += p[i] * sum(row[j] * p[j] for j in range(6))
-        return total
+        return sum((c * p[i] * p[j] for (i, j), c in self.coeffs.items()), Fraction(0))
 
-    def monomials(self) -> dict[tuple[int, int], Fraction]:
+    def monomials(self) -> dict[tuple[int, int], int]:
         """Coefficient of each monomial x_i x_j (i <= j)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for i in range(6):
-            for j in range(i, 6):
-                c = self.matrix.rows[i][j] if i == j else 2 * self.matrix.rows[i][j]
-                if c != 0:
-                    out[(i, j)] = c
-        return out
+        return dict(self.coeffs)
 
     def text(self) -> str:
         """Render with monomials in graded lexicographic order."""
-        monos = sorted(self.monomials().items())
-        parts = []
-        for (i, j), c in monos:
-            mono = f"{VARS[i]}^2" if i == j else f"{VARS[i]}*{VARS[j]}"
-            if c == 1:
-                term = mono
-            elif c == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{c}*{mono}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _signed_sum(
+            (
+                (c, f"{VARS[i]}^2" if i == j else f"{VARS[i]}*{VARS[j]}")
+                for (i, j), c in self.coeffs.items()
+            ),
+            "*",
+        )
 
     def __repr__(self) -> str:
         return f"QuadraticForm6({self.text()!r})"
@@ -464,7 +445,7 @@ def quartic_scroll_minors() -> tuple[QuadraticForm6, ...]:
         for (i, j), s in (((top[a], bot[b]), 1), ((bot[a], top[b]), -1)):
             key = (i, j) if i <= j else (j, i)
             monos[key] = monos.get(key, 0) + s
-        out.append(QuadraticForm6.from_monomials(monos))
+        out.append(QuadraticForm6(monos))
     return tuple(out)
 
 

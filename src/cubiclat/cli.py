@@ -55,14 +55,18 @@ def jsonable(value):
 
 
 def resolve_lattice(source: str) -> Lattice:
-    """Interpret a lattice argument as a catalog name or a file path."""
+    """Interpret a lattice argument as a catalog name or a file path.
+
+    When neither works, the error carries the catalog's reason: an unknown
+    name, or a catalog pattern with a rejected argument such as ``Z(0)``.
+    """
     try:
         return lattice_by_name(source)
-    except ValueError:
-        pass
+    except ValueError as e:
+        reason = e
     if os.path.exists(source):
         return load_lattice(source)
-    raise LatticeFormatError(f"unknown lattice name and no such file: {source!r}")
+    raise LatticeFormatError(f"{reason}, and no such file: {source!r}")
 
 
 # ---------------------------------------------------------------------------

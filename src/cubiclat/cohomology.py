@@ -126,10 +126,6 @@ class CohClass:
         return CohClass(s)
 
 
-def one() -> CohClass:
-    return CohClass([1])
-
-
 def h(power: int = 1) -> CohClass:
     """The class h^power."""
     if not 0 <= power <= TOP:

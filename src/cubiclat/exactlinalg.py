@@ -1,17 +1,16 @@
-"""Exact integer and rational dense linear algebra.
+"""Exact dense linear algebra over integer matrices.
 
-Everything here works with Python's arbitrary-precision ``int`` and
-``fractions.Fraction``; there is no floating point and therefore no
+Everything here works with Python's arbitrary-precision ``int``; there
+is no floating point and no rational arithmetic, and therefore no
 rounding or overflow anywhere.  Matrices are small (rank at most a few
 dozen in this library), so the implementations favour clarity and
 exactness over asymptotics: Smith normal form by extended-gcd row and
 column operations, determinants by fraction-free Bareiss elimination,
-signatures by symmetric block reduction over the rationals.
+and the fraction-free signature by symmetric Bareiss elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -152,64 +151,6 @@ class IntMatrix:
 
     def max_abs(self) -> int:
         return max((abs(e) for r in self.rows for e in r), default=0)
-
-
-class RatMatrix:
-    """Immutable dense matrix with exact rational entries.
-
-    Entries are ``fractions.Fraction`` values, which are always kept in
-    lowest terms with a positive denominator.
-    """
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rows = tuple(tuple(Fraction(e) for e in r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def from_int(cls, m: IntMatrix) -> "RatMatrix":
-        return cls(m.rows, ncols=m.ncols)
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[[str(e) for e in r] for r in self.rows]})"
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -385,83 +326,53 @@ def saturate_rows(M: IntMatrix) -> list[tuple[int, ...]]:
     return kernel_basis(IntMatrix(ker, ncols=M.ncols))
 
 
-def ldlt_signature(G: RatMatrix | IntMatrix) -> tuple[int, int, int]:
-    """Inertia (positives, negatives, zeros) of a symmetric matrix.
+def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:
+    """Inertia (positives, negatives, zeros) of a symmetric integer matrix.
 
-    Exact symmetric reduction: the first nonzero diagonal entry is used as
-    a pivot after a symmetric swap; if the whole remaining diagonal is zero
-    but the block is not, an off-diagonal entry yields a hyperbolic 2x2
-    block contributing one positive and one negative count.
+    Fraction-free symmetric Bareiss elimination.  After step t the trailing
+    block holds bordered leading minors, so each update divides exactly
+    by the previous pivot, and each pivot p counts positive when p and the
+    previous pivot have the same sign (Jacobi).  A trailing block with a
+    zero diagonal but a nonzero entry a[i][j] is first transformed by the
+    unimodular congruence b_i += b_j, which makes a[i][i] = 2 a[i][j].  A
+    zero trailing block ends the elimination; its size is the zero count.
     """
-    if isinstance(G, IntMatrix):
-        G = RatMatrix.from_int(G)
     if not G.is_symmetric():
         raise ValueError("ldlt_signature requires a symmetric matrix")
     n = G.nrows
-    a = [[Fraction(e) for e in row] for row in G.rows]
-    pos = neg = zero = 0
+    a = [list(row) for row in G.rows]
+    pos = neg = 0
+    prev = 1
     t = 0
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
     while t < n:
         piv = next((k for k in range(t, n) if a[k][k] != 0), None)
-        if piv is not None:
-            if piv != t:
-                swap(t, piv)
-            p = a[t][t]
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-            for i in range(t + 1, n):
-                f = a[i][t] / p
-                if f == 0:
-                    continue
-                for j in range(t + 1, n):
-                    a[i][j] -= f * a[t][j]
-            for i in range(t + 1, n):
-                a[i][t] = Fraction(0)
-                a[t][i] = Fraction(0)
-            t += 1
-            continue
-        off = None
-        for i in range(t, n):
-            for j in range(i + 1, n):
-                if a[i][j] != 0:
-                    off = (i, j)
-                    break
-            if off:
+        if piv is None:
+            off = next(
+                ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j] != 0),
+                None,
+            )
+            if off is None:
                 break
-        if off is None:
-            zero += n - t
-            break
-        i, j = off
-        if i != t:
-            swap(t, i)
-            # the nonzero entry may have moved; locate it again in row t
-            j = next(k for k in range(t + 1, n) if a[t][k] != 0)
-        if j != t + 1:
-            swap(t + 1, j)
-        b = a[t][t + 1]
-        # block [[0, b], [b, 0]] contributes signature (1, 1)
-        pos += 1
-        neg += 1
-        for i in range(t + 2, n):
-            c0 = a[i][t + 1] / b
-            c1 = a[i][t] / b
-            if c0 == 0 and c1 == 0:
-                continue
-            for j in range(t + 2, n):
-                a[i][j] -= c0 * a[t][j] + c1 * a[t + 1][j]
-        for i in range(t + 2, n):
-            a[i][t] = a[i][t + 1] = Fraction(0)
-            a[t][i] = a[t + 1][i] = Fraction(0)
-        t += 2
-    return (pos, neg, zero)
+            piv, j = off
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            for row in a:
+                row[piv] += row[j]
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            for row in a:
+                row[t], row[piv] = row[piv], row[t]
+        p = a[t][t]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            ai, c = a[i], a[i][t]
+            for j in range(t + 1, n):
+                ai[j] = (p * ai[j] - c * a[t][j]) // prev
+        prev = p
+        t += 1
+    return (pos, neg, n - t)
 
 
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:

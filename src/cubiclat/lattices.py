@@ -195,16 +195,24 @@ def inner_product(L: Lattice, x, y) -> int:
     return dot(xc, L.gram.mul_vec(yc))
 
 
+def basis_gram(L: Lattice, basis: Sequence[Sequence[int]]) -> IntMatrix:
+    """Gram matrix of coordinate vectors of L: entry (a, b) is basis[a]^T G basis[b]."""
+    images = [L.gram.mul_vec(b) for b in basis]
+    return IntMatrix([[dot(b, gc) for gc in images] for b in basis], ncols=len(basis))
+
+
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
     """Invariant factors of the finite group L^dual / L.
 
     Reads the Smith normal form of the Gram matrix; factors equal to 1
-    are dropped.  The product of the factors equals |det L|.
+    are dropped.  The product of the factors equals |det L|, and a zero
+    on the diagonal means the Gram is degenerate.
     """
-    if L.det() == 0:
-        raise DegenerateGramError("discriminant group requires a nondegenerate Gram")
     D, _, _ = smith_normal_form(L.gram)
-    factors = tuple(D.rows[i][i] for i in range(L.rank) if D.rows[i][i] > 1)
+    diag = [D.rows[i][i] for i in range(L.rank)]
+    if 0 in diag:
+        raise DegenerateGramError("discriminant group requires a nondegenerate Gram")
+    factors = tuple(a for a in diag if a > 1)
     return DiscriminantGroup(factors)
 
 
@@ -228,10 +236,7 @@ def orthogonal_complement(
     coords = [_coerce_coords(L, s) for s in vectors]
     pairing = IntMatrix([L.gram.mul_vec(s) for s in coords], ncols=L.rank)
     basis = kernel_basis(pairing)
-    gram = IntMatrix(
-        [[inner_product(L, b, c) for c in basis] for b in basis], ncols=len(basis)
-    )
-    sub = Lattice(len(basis), gram)
+    sub = Lattice(len(basis), basis_gram(L, basis))
     return sub, [LatticeVec(L, b) for b in basis]
 
 
@@ -410,9 +415,10 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
         raise ValueError("is_isometric_small supports ranks up to 3")
     if L1.rank != L2.rank:
         return IsometryResult(NOT_ISOMETRIC, reason="rank")
-    if determinant(L1.gram) == 0 or determinant(L2.gram) == 0:
+    det1, det2 = determinant(L1.gram), determinant(L2.gram)
+    if det1 == 0 or det2 == 0:
         raise DegenerateGramError("isometry testing requires nondegenerate Grams")
-    if determinant(L1.gram) != determinant(L2.gram):
+    if det1 != det2:
         return IsometryResult(NOT_ISOMETRIC, reason="determinant")
     if signature(L1) != signature(L2):
         return IsometryResult(NOT_ISOMETRIC, reason="signature")
@@ -554,6 +560,10 @@ def lattice_by_name(name: str) -> Lattice:
 # (see ``chow``) are read through the same ``read_json_object``; every
 # unreadable or malformed file raises ``LatticeFormatError``.
 
+#: longest integer literal a file may hold; at most 640, the lowest digit
+#: limit the interpreter can set, so this check fires first under any setting
+MAX_INT_DIGITS = 640
+
 
 def lattice_to_json(L: Lattice) -> str:
     doc: dict = {"gram": L.gram.to_lists(), "rank": L.rank}
@@ -562,14 +572,23 @@ def lattice_to_json(L: Lattice) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
+def _parse_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        raise LatticeFormatError(f"integer with more than {MAX_INT_DIGITS} digits")
+    return int(literal)
+
+
 def read_json_object(text: str, kind: str, required: Sequence[str]) -> dict:
-    """Parse a JSON object holding the required fields, or raise LatticeFormatError."""
+    """Parse a JSON object holding the required fields, or raise LatticeFormatError.
+
+    Integer literals longer than ``MAX_INT_DIGITS`` digits are rejected.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise LatticeFormatError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
-    except (ValueError, RecursionError) as e:
-        # integers past the interpreter's digit limit, nesting past its recursion limit
+    except RecursionError as e:
+        # nesting past the interpreter's recursion limit
         raise LatticeFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise LatticeFormatError(f"{kind} document must be a JSON object")

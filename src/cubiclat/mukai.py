@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import DegenerateGramError, ParityError
 from .exactlinalg import IntMatrix, dot, kernel_basis, ldlt_signature
-from .lattices import Lattice, LatticeVec, inner_product, vectors_with_norm
+from .lattices import Lattice, LatticeVec, basis_gram, inner_product, vectors_with_norm
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
 
 
@@ -237,11 +237,4 @@ def hyperbolic_normalize(
     )
     complement = kernel_basis(pairing)
     basis_coords = [vc.coords, b2, *complement]
-    gram = IntMatrix(
-        [
-            [inner_product(L, x, y) for y in basis_coords]
-            for x in basis_coords
-        ],
-        ncols=len(basis_coords),
-    )
-    return [LatticeVec(L, b) for b in basis_coords], gram
+    return [LatticeVec(L, b) for b in basis_coords], basis_gram(L, basis_coords)

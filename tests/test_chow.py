@@ -154,7 +154,7 @@ def test_minor_count_and_order():
 
 def test_minor_matrices_are_symmetric_rational():
     for q in quartic_scroll_minors():
-        assert q.matrix.is_symmetric()
+        assert all(i <= j for i, j in q.monomials())
         total = q.evaluate((1, 2, 4, 3, 6, 12))
         assert total == 0
 
@@ -236,10 +236,8 @@ def test_minors_closed_under_block_swap_symmetry():
 
 
 def test_quadratic_form_validation():
-    from cubiclat.exactlinalg import RatMatrix
-
     with pytest.raises(ValueError):
-        QuadraticForm6(RatMatrix([[0, 1], [1, 0]]))
+        QuadraticForm6({(0, 6): 1})
     q = quartic_scroll_minors()[0]
     with pytest.raises(ValueError):
         q.evaluate((1, 2, 3))

@@ -121,6 +121,20 @@ def test_lattice_info_unknown_name_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("Z(0)", "Z(n) requires nonzero n"),
+        ("I(0,0)", "I(0,0) is empty"),
+        ("Lambda_0", "degree d must be positive"),
+    ],
+)
+def test_lattice_info_rejected_catalog_argument_gives_reason(capsys, name, reason):
+    code, out, err = run(capsys, "lattice", "info", name)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and reason in err
+
+
 def test_lattice_info_degenerate_exit_4(capsys, tmp_path):
     path = tmp_path / "deg.json"
     path.write_text('{"rank": 2, "gram": [[1, 1], [1, 1]]}')

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from cubiclat.exactlinalg import (
     IntMatrix,
-    RatMatrix,
     determinant,
     inverse_unimodular,
     kernel_basis,
@@ -269,7 +268,8 @@ def test_ldlt_congruence_invariance():
 
 
 def test_ldlt_rational_entries():
-    G = RatMatrix([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]])
+    # diag(1/2, -2/3) scaled by 6: the same inertia
+    G = IntMatrix([[3, 0], [0, -4]])
     assert ldlt_signature(G) == (1, 1, 0)
 
 
@@ -287,6 +287,134 @@ def test_ldlt_hyperbolic_pivot_needs_row_swap():
         [[0, 0, 0, 0], [0, 0, 0, 5], [0, 0, 2, 0], [0, 5, 0, 0]]
     )
     assert ldlt_signature(G4) == (2, 1, 1)
+
+
+def fraction_ldlt_signature(rows):
+    """Reference: symmetric reduction over the rationals with hyperbolic 2x2 pivots."""
+    n = len(rows)
+    a = [[Fraction(e) for e in row] for row in rows]
+    pos = neg = zero = 0
+    t = 0
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    while t < n:
+        piv = next((k for k in range(t, n) if a[k][k] != 0), None)
+        if piv is not None:
+            if piv != t:
+                swap(t, piv)
+            p = a[t][t]
+            if p > 0:
+                pos += 1
+            else:
+                neg += 1
+            for i in range(t + 1, n):
+                f = a[i][t] / p
+                if f == 0:
+                    continue
+                for j in range(t + 1, n):
+                    a[i][j] -= f * a[t][j]
+            for i in range(t + 1, n):
+                a[i][t] = Fraction(0)
+                a[t][i] = Fraction(0)
+            t += 1
+            continue
+        off = None
+        for i in range(t, n):
+            for j in range(i + 1, n):
+                if a[i][j] != 0:
+                    off = (i, j)
+                    break
+            if off:
+                break
+        if off is None:
+            zero += n - t
+            break
+        i, j = off
+        if i != t:
+            swap(t, i)
+            # the nonzero entry may have moved; locate it again in row t
+            j = next(k for k in range(t + 1, n) if a[t][k] != 0)
+        if j != t + 1:
+            swap(t + 1, j)
+        b = a[t][t + 1]
+        # block [[0, b], [b, 0]] contributes signature (1, 1)
+        pos += 1
+        neg += 1
+        for i in range(t + 2, n):
+            c0 = a[i][t + 1] / b
+            c1 = a[i][t] / b
+            if c0 == 0 and c1 == 0:
+                continue
+            for j in range(t + 2, n):
+                a[i][j] -= c0 * a[t][j] + c1 * a[t + 1][j]
+        for i in range(t + 2, n):
+            a[i][t] = a[i][t + 1] = Fraction(0)
+            a[t][i] = a[t + 1][i] = Fraction(0)
+        t += 2
+    return (pos, neg, zero)
+
+
+def descartes_inertia(rows):
+    """Inertia from the characteristic polynomial by Descartes' rule of signs.
+
+    The rule counts positive roots exactly when every root is real, which
+    holds for the eigenvalues of a symmetric matrix.
+    """
+    import sympy
+
+    coeffs = sympy.Matrix(rows).charpoly().all_coeffs()
+    n = len(coeffs) - 1
+    last = max(k for k, c in enumerate(coeffs) if c != 0)
+
+    def sign_changes(cs):
+        nonzero = [c for c in cs if c != 0]
+        return sum((a > 0) != (b > 0) for a, b in zip(nonzero, nonzero[1:]))
+
+    flipped = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
+    return (sign_changes(coeffs), sign_changes(flipped), n - last)
+
+
+def random_symmetric(rng, n):
+    """Symmetric n x n matrix of one of four kinds, entries up to 10^6."""
+    lim = rng.choice((1, 3, 100, 10**6))
+    kind = rng.choice(("dense", "sparse", "zero-diagonal", "degenerate"))
+    if kind == "degenerate":
+        # B^T D B with B of k < n rows: rank at most k
+        k = rng.randint(0, n - 1)
+        blim = min(lim, 30)
+        B = [[rng.randint(-blim, blim) for _ in range(n)] for _ in range(k)]
+        D = [rng.choice((-1, 0, 1)) * rng.randint(1, 1000) for _ in range(k)]
+        return [
+            [sum(B[r][i] * D[r] * B[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)
+        ]
+    density = 0.25 if kind == "sparse" else 1.0
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i != j or kind != "zero-diagonal") and rng.random() < density:
+                a[i][j] = a[j][i] = rng.randint(-lim, lim)
+    return a
+
+
+def test_ldlt_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for case in range(2000):
+        # every 20th matrix has rank up to 24; the rest stay small and fast
+        n = rng.randint(1, 24) if case % 20 == 0 else rng.randint(1, 8)
+        rows = random_symmetric(rng, n)
+        assert ldlt_signature(IntMatrix(rows)) == fraction_ldlt_signature(rows), rows
+
+
+def test_ldlt_matches_descartes_on_charpoly():
+    rng = random.Random(6)
+    for _ in range(150):
+        rows = random_symmetric(rng, rng.randint(1, 6))
+        assert ldlt_signature(IntMatrix(rows)) == descartes_inertia(rows), rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for lattice constructions, invariants and small-rank searches."""
 
 import random
+import sys
 
 import pytest
 
@@ -438,3 +439,21 @@ HUGE_INT = "1" + "0" * 5000
 def test_file_parse_errors(text):
     with pytest.raises(LatticeFormatError):
         lattice_from_json(text)
+
+
+def test_file_digit_ceiling_holds_under_any_interpreter_limit():
+    from cubiclat.lattices import MAX_INT_DIGITS
+
+    longest = "-" + "9" * MAX_INT_DIGITS
+    assert lattice_from_json('{"rank": 1, "gram": [[' + longest + "]]}").rank == 1
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(0)  # no interpreter limit at all
+    try:
+        with pytest.raises(LatticeFormatError) as info:
+            lattice_from_json('{"rank": 1, "gram": [[' + "9" * 5000 + "]]}")
+    finally:
+        if set_limit:
+            set_limit(old)
+    assert "set_int_max_str_digits" not in str(info.value)
