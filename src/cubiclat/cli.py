@@ -8,7 +8,8 @@ is emitted as a stable JSON document of the form
 and without it a terse human-readable rendering of the same data is
 printed.  Exit codes: 0 ok, 2 usage error, 3 unknown lattice name or a
 lattice file that cannot be read or parsed, 4 domain error (degenerate
-Gram, failed precondition).  Diagnostics go to stderr, payloads to stdout.
+Gram, failed precondition, a result too long to print).  Diagnostics go
+to stderr, payloads to stdout.
 """
 
 from __future__ import annotations
@@ -193,11 +194,17 @@ def scroll_ideal_payload() -> dict:
 
 
 def emit(command: str, payload: dict, as_json: bool) -> None:
-    if as_json:
-        doc = {"command": command, "status": "ok", "payload": jsonable(payload)}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return
-    for line in human_lines(payload):
+    """Print the payload; nothing is printed if any of it cannot be rendered."""
+    try:
+        if as_json:
+            doc = {"command": command, "status": "ok", "payload": jsonable(payload)}
+            lines = [json.dumps(doc, indent=2, sort_keys=True)]
+        else:
+            lines = human_lines(payload)
+    except ValueError as e:
+        # str() refuses an int longer than the interpreter's digit limit
+        raise ValueError("the result holds an integer too long to print") from e
+    for line in lines:
         print(line)
 
 
@@ -324,13 +331,13 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
     try:
         command, payload = dispatch(args)
+        emit(command, payload, args.json)
     except LatticeFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR
     except (ValueError, CubiclatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DOMAIN_ERROR
-    emit(command, payload, args.json)
     return 0
 
 

@@ -80,10 +80,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def block_diag(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
         n = sum(b.nrows for b in blocks)
         m = sum(b.ncols for b in blocks)
@@ -374,16 +370,3 @@ def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:
         t += 1
     return (pos, neg, n - t)
 
-
-def inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Integer inverse of a square matrix with determinant +-1.
-
-    M is unimodular exactly when its Smith form is the identity; then
-    U M V = I gives M^-1 = V U.
-    """
-    if not M.is_square():
-        raise ValueError("inverse requires a square matrix")
-    D, U, V = smith_normal_form(M)
-    if D != IntMatrix.identity(M.nrows):
-        raise ValueError("matrix is not unimodular")
-    return V @ U

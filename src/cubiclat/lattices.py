@@ -27,7 +27,6 @@ from .exactlinalg import (
     coord_key,
     determinant,
     dot,
-    inverse_unimodular,
     kernel_basis,
     ldlt_signature,
     saturate_rows,
@@ -55,9 +54,6 @@ class Lattice:
             raise ValueError("gram dimension must equal rank")
         if not self.gram.is_symmetric():
             raise ValueError("gram matrix must be symmetric")
-
-    def det(self) -> int:
-        return determinant(self.gram)
 
     def vec(self, coords: Sequence[int]) -> "LatticeVec":
         return LatticeVec(self, tuple(coords))
@@ -263,7 +259,7 @@ def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
 # done instead of scanning the full box.
 
 
-def _quadratic_int_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
+def quadratic_int_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
     """Integer solutions of a*x^2 + b*x + c = 0 with lo <= x <= hi."""
     if a == 0:
         if b == 0:
@@ -306,14 +302,14 @@ def vectors_with_norm(
             found.add(sign_normalize(v) if canonical else v)
 
     if n == 1:
-        for x in _quadratic_int_roots(g[0][0], 0, -value, -bound, bound):
+        for x in quadratic_int_roots(g[0][0], 0, -value, -bound, bound):
             push((x,))
     elif n == 2:
         for x1 in range(-bound, bound + 1):
             a = g[1][1]
             b = 2 * g[0][1] * x1
             c = g[0][0] * x1 * x1 - value
-            for x2 in _quadratic_int_roots(a, b, c, -bound, bound):
+            for x2 in quadratic_int_roots(a, b, c, -bound, bound):
                 push((x1, x2))
     else:
         for x1 in range(-bound, bound + 1):
@@ -326,7 +322,7 @@ def vectors_with_norm(
                     + g[1][1] * x2 * x2
                     - value
                 )
-                for x3 in _quadratic_int_roots(a, b, c, -bound, bound):
+                for x3 in quadratic_int_roots(a, b, c, -bound, bound):
                     push((x1, x2, x3))
     return sorted(found, key=coord_key)
 
@@ -404,12 +400,11 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
     Cheap invariants (rank, determinant, signature, discriminant group)
     are compared first; a mismatch proves the lattices distinct.  When
     they all agree an exhaustive coordinate-box search looks for a basis
-    image T with T^t G1 T = G2 and det T = +-1.  The default box bound is
-    ``max |entry| of the target Gram times the rank``; pass ``bound`` to
-    override.  With the default bound the search also tries the reverse
-    direction (whichever has the smaller derived box first) and inverts
-    the witness, which is dramatically faster when one Gram has zero
-    diagonal entries.
+    image T with T^t G1 T = G2 and det T = +-1.  The box |T_ij| <= b
+    doubles, b = 1, 2, 4, ..., up to a last box of ``bound``; the default
+    ``bound`` is the rank times the largest |entry| of either Gram.  The
+    witness is the first T in search order within the smallest of these
+    boxes that holds one, so a small witness costs a small search.
     """
     if max(L1.rank, L2.rank) > 3:
         raise ValueError("is_isometric_small supports ranks up to 3")
@@ -427,28 +422,18 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
     if L1.gram == L2.gram:
         return IsometryResult(ISOMETRIC, map=IntMatrix.identity(L1.rank))
 
-    n = L1.rank
-    if bound is not None:
-        T = _search_isometry(L1.gram, L2.gram, bound)
-        return (
-            IsometryResult(ISOMETRIC, map=T)
-            if T is not None
-            else IsometryResult(NOT_FOUND_WITHIN_BOUND)
-        )
-
-    b_fwd = max(1, L2.gram.max_abs() * n)
-    b_rev = max(1, L1.gram.max_abs() * n)
-    directions = [("fwd", b_fwd), ("rev", b_rev)]
-    directions.sort(key=lambda t: (t[1], t[0] != "fwd"))
-    for which, b in directions:
-        if which == "fwd":
-            T = _search_isometry(L1.gram, L2.gram, b)
-        else:
-            S = _search_isometry(L2.gram, L1.gram, b)
-            T = inverse_unimodular(S) if S is not None else None
+    top = bound
+    if top is None:
+        top = max(1, L1.rank * max(L1.gram.max_abs(), L2.gram.max_abs()))
+    b = 1
+    while True:
+        b = min(b, top)
+        T = _search_isometry(L1.gram, L2.gram, b)
         if T is not None:
             return IsometryResult(ISOMETRIC, map=T)
-    return IsometryResult(NOT_FOUND_WITHIN_BOUND)
+        if b >= top:
+            return IsometryResult(NOT_FOUND_WITHIN_BOUND)
+        b *= 2
 
 
 # ---------------------------------------------------------------------------

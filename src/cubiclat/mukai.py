@@ -25,11 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DegenerateGramError, ParityError
-from .exactlinalg import IntMatrix, dot, kernel_basis, ldlt_signature
-from .lattices import Lattice, LatticeVec, basis_gram, inner_product, vectors_with_norm
+from .exactlinalg import IntMatrix, coord_key, dot, kernel_basis, ldlt_signature
+from .lattices import (
+    NOT_FOUND_WITHIN_BOUND,
+    Lattice,
+    LatticeVec,
+    basis_gram,
+    inner_product,
+    quadratic_int_roots,
+    vectors_with_norm,
+)
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
 
 
@@ -111,7 +119,6 @@ def verify_triple(L: Lattice, triple: IsotropicTriple) -> TripleCheck:
 
 
 FOUND = "found"
-NOT_FOUND_WITHIN_BOUND = "not_found_within_bound"
 IMPOSSIBLE = "impossible"
 
 
@@ -132,29 +139,19 @@ class TripleSearch:
         return self.status == FOUND
 
 
-def _shells(bound: int, max_l1: int | None = None) -> Iterator[tuple[int, int, int]]:
-    """Rank-3 box vectors ordered by (L1 norm, lexicographic)."""
-    top = 3 * bound if max_l1 is None else min(max_l1, 3 * bound)
-    for s in range(top + 1):
-        for x1 in range(-min(s, bound), min(s, bound) + 1):
-            r1 = s - abs(x1)
-            for x2 in range(-min(r1, bound), min(r1, bound) + 1):
-                r2 = r1 - abs(x2)
-                if r2 > bound:
-                    continue
-                if r2 == 0:
-                    yield (x1, x2, 0)
-                else:
-                    yield (x1, x2, -r2)
-                    yield (x1, x2, r2)
-
-
 def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
     """Canonically smallest x in the box with <gv, x> = 1."""
-    for x in _shells(bound):
-        if dot(gv, x) == 1:
-            return x
-    return None
+    box = range(-bound, bound + 1)
+    return min(
+        (
+            (x1, x2, x3)
+            for x1 in box
+            for x2 in box
+            for x3 in quadratic_int_roots(0, gv[2], gv[0] * x1 + gv[1] * x2 - 1, -bound, bound)
+        ),
+        key=coord_key,
+        default=None,
+    )
 
 
 def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:

@@ -6,11 +6,13 @@ from the library.
 """
 
 import json
+import sys
 
 import pytest
 
 from cubiclat import cli
-from cubiclat.lattices import lattice_to_json, middle_lattice
+from cubiclat.exactlinalg import IntMatrix
+from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
 from cubiclat.mukai import kuznetsov_rank3_lattice
 
 
@@ -114,6 +116,27 @@ def test_lattice_info_unreadable_file_exit_3(capsys, tmp_path, make):
     code, out, err = run(capsys, "lattice", "info", str(path), "--json")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter prints integers of any length"
+)
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_lattice_info_result_too_long_to_print_exit_4(capsys, tmp_path, fmt):
+    # 600-digit entries pass the reader; the determinant has about 4800 digits
+    entry = 10**599 + 7
+    big = Lattice(8, IntMatrix([[entry if i == j else 0 for j in range(8)] for i in range(8)]))
+    path = tmp_path / "big8.json"
+    path.write_text(lattice_to_json(big))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "lattice", "info", str(path), *fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
 
 
 def test_lattice_info_unknown_name_exit_3(capsys):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from cubiclat.exactlinalg import (
     IntMatrix,
     determinant,
-    inverse_unimodular,
     kernel_basis,
     ldlt_signature,
     saturate_rows,
@@ -90,7 +89,7 @@ def test_snf_identity_is_canonical():
 
 
 def test_snf_zero_matrix():
-    Z = IntMatrix.zeros(2, 2)
+    Z = IntMatrix([[0, 0], [0, 0]])
     D, U, V = smith_normal_form(Z)
     assert D == Z
     assert U == IntMatrix.identity(2)
@@ -422,13 +421,16 @@ def test_ldlt_matches_descartes_on_charpoly():
 
 
 def test_inverse_unimodular():
+    # U Q V = I from the Smith form gives Q^-1 = V U
     rng = random.Random(23)
     for _ in range(40):
         n = rng.randint(1, 3)
         Q = random_unimodular(rng, n)
-        assert (Q @ inverse_unimodular(Q)) == IntMatrix.identity(n)
-    with pytest.raises(ValueError):
-        inverse_unimodular(IntMatrix([[2]]))
+        D, U, V = smith_normal_form(Q)
+        assert D == IntMatrix.identity(n)
+        assert (Q @ (V @ U)) == IntMatrix.identity(n)
+    D, _, _ = smith_normal_form(IntMatrix([[2]]))
+    assert D != IntMatrix.identity(1)
 
 
 def test_sign_normalize():

@@ -40,12 +40,12 @@ from cubiclat.lattices import (
 from cubiclat.mukai import kuznetsov_rank3_lattice
 
 
-def random_unimodular(rng, n, steps=10):
+def random_unimodular(rng, n, steps=10, coef=2):
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            k = rng.randint(-2, 2)
+            k = rng.randint(-coef, coef)
             m[i] = [x + k * y for x, y in zip(m[i], m[j])]
     return IntMatrix(m)
 
@@ -360,17 +360,42 @@ def test_isometry_rank_and_degenerate_rejection():
     assert res.status == NOT_ISOMETRIC
 
 
-def test_isometry_random_congruence():
-    rng = random.Random(42)
-    base = [a2(), hyperbolic_plane(), direct_sum([hyperbolic_plane(), z_lattice(-3)])]
-    for L in base:
-        for _ in range(5):
-            Q = random_unimodular(rng, L.rank, steps=6)
+def congruent_pairs(rng, count):
+    """Seeded pairs (G, Q^t G Q) of rank 1-3, in both orientations.
+
+    The bases are Z(n), A2, U, U + Z(e) (zero diagonal entries) and
+    random Grams; every fifth pair takes a heavier congruence of 3-9
+    steps with coefficients up to 3, whose witness can exceed the entries
+    of the smaller Gram.  Above rank 1 the two Grams differ.
+    """
+    bases = [z_lattice(-26), z_lattice(3), a2(), hyperbolic_plane()]
+    for e in (-26, -14, -3, -2, -1, 1, 2, 5, 8):
+        bases.append(direct_sum([hyperbolic_plane(), z_lattice(e)]))
+    while len(bases) < 60:
+        n = rng.randint(2, 3)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if determinant(IntMatrix(g)) != 0:
+            bases.append(Lattice(n, IntMatrix(g)))
+    for case in range(count):
+        L = cong = bases[case % len(bases)]
+        while cong == L and L.rank > 1:
+            if case % 5 == 0:
+                Q = random_unimodular(rng, L.rank, steps=rng.randint(3, 9), coef=3)
+            else:
+                Q = random_unimodular(rng, L.rank, steps=rng.randint(1, 6))
             cong = Lattice(L.rank, Q.transpose() @ L.gram @ Q)
-            res = is_isometric_small(L, cong)
-            assert res.status == ISOMETRIC
-            T = res.map
-            assert (T.transpose() @ L.gram @ T) == cong.gram
+        yield (L, cong) if case % 2 else (cong, L)
+
+
+def test_isometry_random_congruence():
+    for L1, L2 in congruent_pairs(random.Random(42), 1500):
+        res = is_isometric_small(L1, L2)
+        assert res.status == ISOMETRIC, (L1.gram, L2.gram)
+        T = res.map
+        assert (T.transpose() @ L1.gram @ T) == L2.gram
 
 
 def test_isometry_deterministic():
