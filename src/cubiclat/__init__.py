@@ -37,14 +37,11 @@ from .chow import (
 )
 from .cohomology import (
     CohClass,
-    chern_tangent,
     dual,
     euler_pairing,
     integral,
     lambda_class,
     lambda_gram,
-    sqrt_todd,
-    todd,
 )
 from .errors import (
     CubiclatError,

@@ -414,10 +414,6 @@ class QuadraticForm6:
             raise ValueError("a point has six coordinates")
         return sum((c * p[i] * p[j] for (i, j), c in self.coeffs.items()), Fraction(0))
 
-    def monomials(self) -> dict[tuple[int, int], int]:
-        """Coefficient of each monomial x_i x_j (i <= j)."""
-        return dict(self.coeffs)
-
     def text(self) -> str:
         """Render with monomials in graded lexicographic order."""
         return _signed_sum(

@@ -21,8 +21,8 @@ import sys
 from fractions import Fraction
 
 from . import admissibility, chow, cohomology, mukai
-from .errors import CubiclatError, DegenerateGramError, LatticeFormatError
-from .exactlinalg import IntMatrix, determinant
+from .errors import CubiclatError, LatticeFormatError
+from .exactlinalg import IntMatrix
 from .lattices import (
     Lattice,
     discriminant_group,
@@ -94,17 +94,17 @@ def admissible_payload(max_d: int, verbose: bool) -> dict:
 
 
 def lattice_info_payload(L: Lattice) -> dict:
-    det = determinant(L.gram)
-    if det == 0:
-        raise DegenerateGramError("lattice is degenerate")
     p, n = signature(L)
+    group = discriminant_group(L)
+    # the sign of det is that of the n negative pivots, |det| = |L^dual / L|
+    det = (-1) ** n * group.order
     return {
         "label": L.label,
         "rank": L.rank,
         "det": det,
         "abs_det": abs(det),
         "signature": [p, n],
-        "discriminant_group": list(discriminant_group(L).factors),
+        "discriminant_group": list(group.factors),
         "gram": L.gram.to_lists(),
     }
 

@@ -5,23 +5,29 @@ hyperplane class of a smooth cubic hypersurface in P^5.  The top
 intersection number is fixed by Bezout: the integral of h^4 over the
 fourfold equals 3, the degree of the hypersurface.
 
-On this ring we compute the total Chern class of the tangent bundle via
-the Euler sequence, the Todd class and its square root, and the Euler
-pairing
+On this ring we compute the Euler pairing
 
     chi(v, w) = integral( dual(v / sqrt_td) * (w / sqrt_td) * td ),
 
-where dual negates the odd-degree coefficients.  The classes lambda_1,
-lambda_2 below are the Mukai vectors of the two canonical objects in
-the Kuznetsov component of the derived category; under the pairing they
-span a lattice with Gram matrix [[-2, 1], [1, -2]], which calibrates
-the sign conventions of the whole module.
+where dual negates the odd-degree coefficients.  dual is a ring
+automorphism, and the Todd class factors as td = e^{c1/2} * A with the
+A-hat class A even, so dual(sqrt_td) * sqrt_td = A and td / A = e^{c1/2}.
+The pairing therefore has the closed form
+
+    chi(v, w) = integral( dual(v) * w * e^{c1/2} ),
+
+with c1 = (6 - DEGREE) h = 3h by adjunction, and the module computes
+this right-hand side.  The classes lambda_1, lambda_2 below are the
+Mukai vectors of the two canonical objects in the Kuznetsov component
+of the derived category; under the pairing they span a lattice with
+Gram matrix [[-2, 1], [1, -2]], which calibrates the sign conventions
+of the whole module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial
 from typing import Sequence
 
 #: top self-intersection of the hyperplane class: the degree of a cubic
@@ -102,29 +108,6 @@ class CohClass:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CohClass":
-        """Multiplicative inverse of a class with nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ValueError("inverse requires a nonzero constant term")
-        inv = [Fraction(1) / self.coeffs[0]] + [Fraction(0)] * TOP
-        for k in range(1, TOP + 1):
-            s = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1))
-            inv[k] = -s / self.coeffs[0]
-        return CohClass(inv)
-
-    def __truediv__(self, other: "CohClass") -> "CohClass":
-        return self * other.inverse()
-
-    def sqrt(self) -> "CohClass":
-        """Series square root; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
-        s = [Fraction(1)] + [Fraction(0)] * TOP
-        for k in range(1, TOP + 1):
-            acc = sum(s[i] * s[k - i] for i in range(1, k))
-            s[k] = (self.coeffs[k] - acc) / 2
-        return CohClass(s)
-
 
 def h(power: int = 1) -> CohClass:
     """The class h^power."""
@@ -143,37 +126,8 @@ def integral(a: CohClass) -> Fraction:
     return DEGREE * a.coeffs[TOP]
 
 
-def chern_tangent() -> CohClass:
-    """Total Chern class of the tangent bundle: (1+h)^6 / (1+3h).
-
-    This is the Euler sequence of P^5 restricted to a degree-3
-    hypersurface, truncated at h^4.
-    """
-    sixth = CohClass([comb(6, k) for k in range(TOP + 1)])
-    return sixth / CohClass([1, DEGREE])
-
-
-def todd() -> CohClass:
-    """Todd class of the tangent bundle, from the universal polynomials.
-
-    td_1 = c1/2, td_2 = (c1^2 + c2)/12, td_3 = c1 c2 / 24,
-    td_4 = (-c1^4 + 4 c1^2 c2 + 3 c2^2 + c1 c3 - c4)/720.
-    """
-    c = chern_tangent()
-    c1, c2, c3, c4 = c[1], c[2], c[3], c[4]
-    return CohClass(
-        [
-            Fraction(1),
-            c1 / 2,
-            (c1**2 + c2) / 12,
-            c1 * c2 / 24,
-            (-(c1**4) + 4 * c1**2 * c2 + 3 * c2**2 + c1 * c3 - c4) / 720,
-        ]
-    )
-
-
-def sqrt_todd() -> CohClass:
-    return todd().sqrt()
+#: e^{c1/2} with c1 = (6 - DEGREE) h, the first Chern class of the tangent bundle
+WEIGHT = CohClass([Fraction(6 - DEGREE, 2) ** k / factorial(k) for k in range(TOP + 1)])
 
 
 def lambda_class(i: int) -> CohClass:
@@ -192,11 +146,11 @@ def lambda_class(i: int) -> CohClass:
 def euler_pairing(v: CohClass, w: CohClass) -> Fraction:
     """chi(v, w) = integral( dual(v/sqrt_td) * (w/sqrt_td) * td ).
 
-    All operations are exact; division is truncated series division,
-    always possible because sqrt_td has constant term 1.
+    Since td = e^{c1/2} * A with the A-hat class A even, dual(sqrt_td) *
+    sqrt_td = A, and this equals integral( dual(v) * w * WEIGHT ) with
+    WEIGHT = e^{c1/2}, the form computed here.
     """
-    s = sqrt_todd()
-    return integral(dual(v / s) * (w / s) * todd())
+    return integral(dual(v) * w * WEIGHT)
 
 
 def lambda_gram() -> list[list[int]]:

@@ -92,9 +92,6 @@ class IntMatrix:
             j0 += b.ncols
         return cls(out, ncols=m)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)

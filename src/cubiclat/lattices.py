@@ -397,10 +397,10 @@ def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | No
 def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> IsometryResult:
     """Decide isometry of two nondegenerate lattices of rank <= 3.
 
-    Cheap invariants (rank, determinant, signature, discriminant group)
-    are compared first; a mismatch proves the lattices distinct.  When
-    they all agree an exhaustive coordinate-box search looks for a basis
-    image T with T^t G1 T = G2 and det T = +-1.  The box |T_ij| <= b
+    Cheap invariants (rank, determinant, signature, discriminant group,
+    parity) are compared first; a mismatch proves the lattices distinct.
+    When they all agree an exhaustive coordinate-box search looks for a
+    basis image T with T^t G1 T = G2 and det T = +-1.  The box |T_ij| <= b
     doubles, b = 1, 2, 4, ..., up to a last box of ``bound``; the default
     ``bound`` is the rank times the largest |entry| of either Gram.  The
     witness is the first T in search order within the smallest of these
@@ -419,6 +419,10 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
         return IsometryResult(NOT_ISOMETRIC, reason="signature")
     if discriminant_group(L1) != discriminant_group(L2):
         return IsometryResult(NOT_ISOMETRIC, reason="discriminant_group")
+    # x.x = sum g_ii x_i^2 mod 2: a lattice is even iff its Gram diagonal is
+    even1, even2 = (all(L.gram.rows[i][i] % 2 == 0 for i in range(L.rank)) for L in (L1, L2))
+    if even1 != even2:
+        return IsometryResult(NOT_ISOMETRIC, reason="parity")
     if L1.gram == L2.gram:
         return IsometryResult(ISOMETRIC, map=IntMatrix.identity(L1.rank))
 

@@ -158,7 +158,7 @@ def test_criterion_7_scroll_ideal():
     names = (u, v, w, x, y, z)
     for q in minors:
         expr = sympy.Integer(0)
-        for (i, j), c in q.monomials().items():
+        for (i, j), c in q.coeffs.items():
             expr += sympy.Rational(c.numerator, c.denominator) * names[i] * names[j]
         assert sympy.expand(expr.subs(subs)) == 0
     assert not scroll_membership((1, 0, 0, 0, 0, 1))

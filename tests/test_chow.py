@@ -154,7 +154,7 @@ def test_minor_count_and_order():
 
 def test_minor_matrices_are_symmetric_rational():
     for q in quartic_scroll_minors():
-        assert all(i <= j for i, j in q.monomials())
+        assert all(i <= j for i, j in q.coeffs)
         total = q.evaluate((1, 2, 4, 3, 6, 12))
         assert total == 0
 
@@ -190,7 +190,7 @@ def test_membership_on_random_rational_points():
 
 def _sympy_poly(q: QuadraticForm6, symbols):
     expr = sympy.Integer(0)
-    for (i, j), c in q.monomials().items():
+    for (i, j), c in q.coeffs.items():
         expr += sympy.Rational(c.numerator, c.denominator) * symbols[i] * symbols[j]
     return expr
 
@@ -220,15 +220,15 @@ def test_minors_closed_under_block_swap_symmetry():
     seen = []
     for q in minors:
         swapped = {}
-        for (i, j), c in q.monomials().items():
+        for (i, j), c in q.coeffs.items():
             a, b = perm[i], perm[j]
             key = (a, b) if a <= b else (b, a)
             swapped[key] = swapped.get(key, Fraction(0)) + c
         matches = [
             k
             for k, other in enumerate(minors)
-            if swapped == other.monomials()
-            or {kk: -vv for kk, vv in swapped.items()} == other.monomials()
+            if swapped == other.coeffs
+            or {kk: -vv for kk, vv in swapped.items()} == other.coeffs
         ]
         assert len(matches) == 1
         seen.append(matches[0])

@@ -6,12 +6,13 @@ from the library.
 """
 
 import json
+import random
 import sys
 
 import pytest
 
 from cubiclat import cli
-from cubiclat.exactlinalg import IntMatrix
+from cubiclat.exactlinalg import IntMatrix, determinant
 from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
 from cubiclat.mukai import kuznetsov_rank3_lattice
 
@@ -86,6 +87,23 @@ def test_lattice_info_from_file(capsys, tmp_path):
     doc = run_json(capsys, "lattice", "info", str(path))
     assert doc["payload"]["abs_det"] == 42
     assert doc["payload"]["label"] == "L42"
+
+
+def test_lattice_info_det_matches_bareiss():
+    # det is read off the signature and the discriminant group
+    rng = random.Random(5)
+    signs = []
+    while len(signs) < 300:
+        n = rng.randint(1, 24)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-4, 4)
+        det = determinant(IntMatrix(g))
+        if det != 0:
+            assert cli.lattice_info_payload(Lattice(n, IntMatrix(g)))["det"] == det
+            signs.append(det > 0)
+    assert set(signs) == {True, False}
 
 
 def test_lattice_info_parse_error_exit_3(capsys, tmp_path):

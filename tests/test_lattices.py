@@ -342,10 +342,27 @@ def test_isometry_identity_fast_path():
     assert res.map == IntMatrix.identity(2)
 
 
-def test_isometry_not_found_within_bound():
+def test_isometry_parity_prescreen():
     # I(1,1) and U share rank, determinant, signature and discriminant
-    # group, but U is even: the box search cannot find a witness.
+    # group, but U is even and I(1,1) is odd.
     res = is_isometric_small(odd_unimodular(1, 1), hyperbolic_plane())
+    assert (res.status, res.reason, res.map) == (NOT_ISOMETRIC, "parity", None)
+    # the same for U + Z(2) against a conjugate of I(1,1) + Z(2) with max
+    # entry 67, where a box search would scan up to 3 * 67 before giving up
+    Q = IntMatrix([[7, 0, -2], [0, 1, 0], [-3, 0, 1]])
+    odd = direct_sum([odd_unimodular(1, 1), z_lattice(2)])
+    odd = Lattice(3, Q.transpose() @ odd.gram @ Q)
+    assert odd.gram.max_abs() == 67
+    res = is_isometric_small(direct_sum([hyperbolic_plane(), z_lattice(2)]), odd)
+    assert (res.status, res.reason) == (NOT_ISOMETRIC, "parity")
+
+
+def test_isometry_not_found_within_bound():
+    # both odd, positive definite, det 5 with group Z/5, yet 1 is a norm
+    # of the first and not of the second: no witness exists to be found
+    res = is_isometric_small(
+        Lattice(2, IntMatrix([[1, 0], [0, 5]])), Lattice(2, IntMatrix([[2, 1], [1, 3]]))
+    )
     assert res.status == NOT_FOUND_WITHIN_BOUND
     assert res.map is None
 
