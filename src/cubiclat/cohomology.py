@@ -52,9 +52,6 @@ class CohClass:
     def __setattr__(self, name, value):
         raise AttributeError("CohClass is immutable")
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CohClass):
             return self.coeffs == other.coeffs
@@ -83,12 +80,6 @@ class CohClass:
     def __add__(self, other: "CohClass") -> "CohClass":
         return CohClass([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return CohClass([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "CohClass":
-        return CohClass([-a for a in self.coeffs])
-
     def scale(self, q) -> "CohClass":
         q = Fraction(q)
         return CohClass([q * a for a in self.coeffs])
@@ -107,13 +98,6 @@ class CohClass:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-
-def h(power: int = 1) -> CohClass:
-    """The class h^power."""
-    if not 0 <= power <= TOP:
-        raise ValueError("power must lie in 0..4")
-    return CohClass([0] * power + [1])
 
 
 def dual(a: CohClass) -> CohClass:

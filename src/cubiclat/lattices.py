@@ -254,12 +254,12 @@ def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
 # ---------------------------------------------------------------------------
 # small-rank vector enumeration
 
-# Enumeration is exact: the trailing coordinate is recovered by solving an
-# integer quadratic (or linear) equation, so only O(bound^(rank-1)) work is
-# done instead of scanning the full box.
+# One enumerator serves every box search.  It is exact: the last coordinate
+# is recovered by solving an integer quadratic (or linear) equation, so only
+# O(bound^(rank-1)) work is done instead of scanning the full box.
 
 
-def quadratic_int_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
+def _quadratic_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
     """Integer solutions of a*x^2 + b*x + c = 0 with lo <= x <= hi."""
     if a == 0:
         if b == 0:
@@ -282,6 +282,44 @@ def quadratic_int_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
     return sorted(x for x in roots if lo <= x <= hi)
 
 
+def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, ...]]:
+    """Every integer x with x^T G x + l.x = value and |x_i| <= bound.
+
+    ``gram`` is a symmetric IntMatrix G of rank 1 to 3, or 0 for the
+    zero form; ``linear`` is the coefficient vector l, or 0 for the zero
+    vector.  The result is in lexicographic order.
+    """
+    n = len(linear) if gram == 0 else gram.nrows
+    if not 1 <= n <= 3:
+        raise ValueError("integer_solutions supports ranks 1 to 3")
+    g = ((0,) * n,) * n if gram == 0 else gram.rows
+    lin = [0] * n if linear == 0 else linear
+    lo, hi, m = -bound, bound, n - 1
+    a = g[m][m]
+    if m == 0:
+        return [(y,) for y in _quadratic_roots(a, lin[0], -value, lo, hi)]
+    box = range(lo, hi + 1)
+    # (leading coordinates, form minus value on them, linear part given them);
+    # the second-to-last coordinate is looped inline, which keeps it cheap
+    states = [((), -value, lin)]
+    for k in range(m - 1):
+        row = g[k]
+        states = [
+            (p + (x,), c + (row[k] * x + t[k]) * x, [tj + 2 * gj * x for tj, gj in zip(t, row)])
+            for p, c, t in states
+            for x in box
+        ]
+    row = g[m - 1]
+    d, e = row[m - 1], 2 * row[m]
+    out = []
+    for p, c, t in states:
+        tk, tm = t[m - 1], t[m]
+        for x in box:
+            for y in _quadratic_roots(a, tm + e * x, c + (d * x + tk) * x, lo, hi):
+                out.append(p + (x, y))
+    return out
+
+
 def vectors_with_norm(
     gram: IntMatrix, value: int, bound: int, canonical: bool = True
 ) -> list[tuple[int, ...]]:
@@ -291,39 +329,11 @@ def vectors_with_norm(
     +-x pair is kept (first nonzero coordinate positive).  The result is
     sorted by the canonical order (L1 norm, then lexicographic).
     """
-    n = gram.nrows
-    if n < 1 or n > 3:
-        raise ValueError("vectors_with_norm supports ranks 1 to 3")
-    g = gram.rows
-    found = set()
-
-    def push(v: tuple[int, ...]):
-        if any(v):
-            found.add(sign_normalize(v) if canonical else v)
-
-    if n == 1:
-        for x in quadratic_int_roots(g[0][0], 0, -value, -bound, bound):
-            push((x,))
-    elif n == 2:
-        for x1 in range(-bound, bound + 1):
-            a = g[1][1]
-            b = 2 * g[0][1] * x1
-            c = g[0][0] * x1 * x1 - value
-            for x2 in quadratic_int_roots(a, b, c, -bound, bound):
-                push((x1, x2))
-    else:
-        for x1 in range(-bound, bound + 1):
-            for x2 in range(-bound, bound + 1):
-                a = g[2][2]
-                b = 2 * (g[0][2] * x1 + g[1][2] * x2)
-                c = (
-                    g[0][0] * x1 * x1
-                    + 2 * g[0][1] * x1 * x2
-                    + g[1][1] * x2 * x2
-                    - value
-                )
-                for x3 in quadratic_int_roots(a, b, c, -bound, bound):
-                    push((x1, x2, x3))
+    found = {
+        sign_normalize(x) if canonical else x
+        for x in integer_solutions(gram, 0, value, bound)
+        if any(x)
+    }
     return sorted(found, key=coord_key)
 
 
@@ -342,9 +352,9 @@ class IsometryResult:
 
     ``status`` is one of ``isometric`` (with a witness ``map`` T such
     that T^t G1 T = G2), ``not_isometric`` (an invariant distinguishes
-    the lattices; see ``reason``), or ``not_found_within_bound`` (the
-    exhaustive search box was exhausted without a witness, which proves
-    nothing).
+    the lattices, or ``reason`` is ``"exhaustive"``: a definite pair was
+    searched past its radius), or ``not_found_within_bound`` (the search
+    box was exhausted without a witness, which proves nothing).
     """
 
     status: str
@@ -401,10 +411,15 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
     parity) are compared first; a mismatch proves the lattices distinct.
     When they all agree an exhaustive coordinate-box search looks for a
     basis image T with T^t G1 T = G2 and det T = +-1.  The box |T_ij| <= b
-    doubles, b = 1, 2, 4, ..., up to a last box of ``bound``; the default
-    ``bound`` is the rank times the largest |entry| of either Gram.  The
+    doubles, b = 1, 2, 4, ..., up to a last box of ``bound``.  The
     witness is the first T in search order within the smallest of these
-    boxes that holds one, so a small witness costs a small search.
+    boxes that holds one, so a small witness costs a small search.  For
+    definite lattices the default ``bound`` is the Fincke-Pohst radius,
+    the largest isqrt(G2_jj adj(G1)_ii / det G1), since x^t G1 x = c
+    forces x_i^2 <= c adj(G1)_ii / det G1; a search past it without a
+    witness answers ``not_isometric`` with reason ``"exhaustive"``.
+    Otherwise the default is the rank times the largest |entry| of
+    either Gram.
     """
     if max(L1.rank, L2.rank) > 3:
         raise ValueError("is_isometric_small supports ranks up to 3")
@@ -415,7 +430,8 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
         raise DegenerateGramError("isometry testing requires nondegenerate Grams")
     if det1 != det2:
         return IsometryResult(NOT_ISOMETRIC, reason="determinant")
-    if signature(L1) != signature(L2):
+    sig = signature(L1)
+    if sig != signature(L2):
         return IsometryResult(NOT_ISOMETRIC, reason="signature")
     if discriminant_group(L1) != discriminant_group(L2):
         return IsometryResult(NOT_ISOMETRIC, reason="discriminant_group")
@@ -426,15 +442,22 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
     if L1.gram == L2.gram:
         return IsometryResult(ISOMETRIC, map=IntMatrix.identity(L1.rank))
 
+    n, g = L1.rank, L1.gram.rows
+    radius = None
+    if 0 in sig:
+        adj = [determinant(IntMatrix([r[:i] + r[i + 1 :] for r in g[:i] + g[i + 1 :]])) for i in range(n)]
+        radius = max(math.isqrt(L2.gram.rows[j][j] * a // det1) for j in range(n) for a in adj)
     top = bound
     if top is None:
-        top = max(1, L1.rank * max(L1.gram.max_abs(), L2.gram.max_abs()))
+        top = radius if radius is not None else max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs()))
     b = 1
     while True:
         b = min(b, top)
         T = _search_isometry(L1.gram, L2.gram, b)
         if T is not None:
             return IsometryResult(ISOMETRIC, map=T)
+        if radius is not None and b >= radius:
+            return IsometryResult(NOT_ISOMETRIC, reason="exhaustive")
         if b >= top:
             return IsometryResult(NOT_FOUND_WITHIN_BOUND)
         b *= 2

@@ -35,7 +35,7 @@ from .lattices import (
     LatticeVec,
     basis_gram,
     inner_product,
-    quadratic_int_roots,
+    integer_solutions,
     vectors_with_norm,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
@@ -141,17 +141,7 @@ class TripleSearch:
 
 def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
     """Canonically smallest x in the box with <gv, x> = 1."""
-    box = range(-bound, bound + 1)
-    return min(
-        (
-            (x1, x2, x3)
-            for x1 in box
-            for x2 in box
-            for x3 in quadratic_int_roots(0, gv[2], gv[0] * x1 + gv[1] * x2 - 1, -bound, bound)
-        ),
-        key=coord_key,
-        default=None,
-    )
+    return min(integer_solutions(0, gv, 1, bound), key=coord_key, default=None)
 
 
 def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:

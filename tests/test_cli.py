@@ -398,3 +398,29 @@ def test_module_execution(tmp_path):
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["payload"]["admissible"] == [14]
+
+
+def test_runtime_imports_are_stdlib_only():
+    import os
+    import pathlib
+    import subprocess
+
+    import cubiclat
+
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import cubiclat, cubiclat.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(pathlib.Path(cubiclat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ["cubiclat"]

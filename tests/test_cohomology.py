@@ -12,7 +12,6 @@ from cubiclat.cohomology import (
     CohClass,
     dual,
     euler_pairing,
-    h,
     integral,
     lambda_class,
     lambda_gram,
@@ -88,12 +87,12 @@ def ref_euler_pairing(v, w):
 
 def test_mul_examples():
     assert CohClass([1, 1]) * CohClass([1, -1]) == CohClass([1, 0, -1])
-    assert h(2) * h(3) == CohClass([0])  # truncation above degree 4
+    assert CohClass([0, 0, 1]) * CohClass([0, 0, 0, 1]) == CohClass([0])  # truncation above degree 4
     assert coh(ref_todd()) * coh(trunc(1 / ref_todd())) == CohClass([1])
 
 
 def test_integral():
-    assert integral(h(4)) == 3
+    assert integral(CohClass([0, 0, 0, 0, 1])) == 3
     assert integral(CohClass([1])) == 0
     assert integral(coh(ref_todd())) == 1
 
@@ -101,9 +100,9 @@ def test_integral():
 def test_chern_tangent():
     c = coh(ref_chern())
     assert c == CohClass([1, 3, 6, 2, 9])
-    assert c[1] == 3
+    assert c.coeffs[1] == 3
     # degree-4 part integrates to the topological Euler number 27
-    assert integral(CohClass([0, 0, 0, 0, c[4]])) == 27
+    assert integral(CohClass([0, 0, 0, 0, c.coeffs[4]])) == 27
 
 
 def test_todd_coefficients():
@@ -118,12 +117,12 @@ def test_sqrt_todd_squares_back():
 
 
 def test_dual():
-    assert dual(h()) == CohClass([0, -1])
+    assert dual(CohClass([0, 1])) == CohClass([0, -1])
     rng = random.Random(0)
     for _ in range(20):
         a = rand_class(rng)
         assert dual(dual(a)) == a
-    assert dual(lambda_class(1))[1] == Fraction(-5, 4)
+    assert dual(lambda_class(1)).coeffs[1] == Fraction(-5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_lambda_coefficients():
         Fraction(1, 384),
         Fraction(-153, 2048),
     )
-    assert (l1 + l2)[0] == 0
+    assert (l1 + l2).coeffs[0] == 0
     with pytest.raises(ValueError):
         lambda_class(3)
 

@@ -1,12 +1,15 @@
 """Tests for lattice constructions, invariants and small-rank searches."""
 
+import itertools
+import math
 import random
 import sys
 
 import pytest
+import sympy as sp
 
 from cubiclat.errors import DegenerateGramError, LatticeFormatError
-from cubiclat.exactlinalg import IntMatrix, determinant
+from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, ldlt_signature
 from cubiclat.lattices import (
     ISOMETRIC,
     NOT_FOUND_WITHIN_BOUND,
@@ -16,11 +19,13 @@ from cubiclat.lattices import (
     a2,
     cubic_lattice,
     direct_sum,
+    _search_isometry,
     discriminant_group,
     e8,
     hyperbolic_plane,
     hyperplane_square,
     inner_product,
+    integer_solutions,
     is_isometric_small,
     k3_lattice,
     k3_polarized_primitive,
@@ -37,7 +42,7 @@ from cubiclat.lattices import (
     vectors_with_norm,
     z_lattice,
 )
-from cubiclat.mukai import kuznetsov_rank3_lattice
+from cubiclat.mukai import _min_dual_one, kuznetsov_rank3_lattice
 
 
 def random_unimodular(rng, n, steps=10, coef=2):
@@ -309,6 +314,68 @@ def test_vectors_with_norm_small():
     assert len(norm2) == 3
 
 
+def box_scan(g, lin, value, bound):
+    """Reference: every box point of x^T G x + l.x = value, by brute force."""
+    n = len(lin)
+    return [
+        x
+        for x in itertools.product(range(-bound, bound + 1), repeat=n)
+        if sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+        + sum(a * b for a, b in zip(lin, x))
+        == value
+    ]
+
+
+def enumeration_cases(rng):
+    """Seeded (G, l, c, bound) of rank 1-3, G and l possibly the integer 0.
+
+    Covers G = 0 with l != 0, zero diagonals, l = 0 with both signs of c,
+    and bound 0.
+    """
+    for case in range(480):
+        n, kind = 1 + case % 3, case // 3 % 4
+        bound = 0 if case % 17 == 0 else rng.randint(1, 4 if n == 3 else 7)
+        g = [[0] * n for _ in range(n)]
+        if kind != 0:
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+                if case % 5 == 0:
+                    g[i][i] = 0
+        lin = [0] * n if kind == 1 else [rng.randint(-4, 4) for _ in range(n)]
+        if kind == 0 and not any(lin):
+            lin[0] = 1
+        value = rng.randint(-12, 12)
+        gram = 0 if kind == 0 else IntMatrix(g)
+        yield gram, (0 if kind == 1 else tuple(lin)), g, lin, value, bound
+
+
+def test_integer_solutions_match_box_scan():
+    signs = set()
+    for gram, linear, g, lin, value, bound in enumeration_cases(random.Random(6)):
+        expected = box_scan(g, lin, value, bound)
+        assert integer_solutions(gram, linear, value, bound) == expected, (g, lin, value, bound)
+        if linear == 0 and gram != 0:
+            signs.add(value > 0)
+            got = vectors_with_norm(gram, value, bound, canonical=False)
+            assert got == sorted((x for x in expected if any(x)), key=coord_key)
+        if gram == 0 and len(lin) == 3:
+            best = min(box_scan(g, lin, 1, bound), key=coord_key, default=None)
+            assert _min_dual_one(lin, bound) == best, (lin, bound)
+    assert signs == {True, False}
+
+
+def test_integer_solutions_reject_rank_0_and_4():
+    for gram, linear in (
+        (IntMatrix([]), 0),
+        (0, ()),
+        (IntMatrix.identity(4), 0),
+        (0, (1, 0, 0, 1)),
+    ):
+        with pytest.raises(ValueError):
+            integer_solutions(gram, linear, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # isometry testing
 
@@ -358,13 +425,83 @@ def test_isometry_parity_prescreen():
 
 
 def test_isometry_not_found_within_bound():
-    # both odd, positive definite, det 5 with group Z/5, yet 1 is a norm
-    # of the first and not of the second: no witness exists to be found
+    # both odd, indefinite of signature (1, 1), det -10 with group Z/10,
+    # yet 2x^2 - 5y^2 = 1 has no solution mod 5: no witness exists, and an
+    # indefinite box search cannot prove it
     res = is_isometric_small(
-        Lattice(2, IntMatrix([[1, 0], [0, 5]])), Lattice(2, IntMatrix([[2, 1], [1, 3]]))
+        Lattice(2, IntMatrix([[1, 0], [0, -10]])), Lattice(2, IntMatrix([[2, 0], [0, -5]]))
     )
     assert res.status == NOT_FOUND_WITHIN_BOUND
     assert res.map is None
+
+
+def test_isometry_definite_exhaustive():
+    # both odd, positive definite, det 5 with group Z/5, yet 1 is a norm
+    # of the first and not of the second; radius 1 holds every column
+    res = is_isometric_small(
+        Lattice(2, IntMatrix([[1, 0], [0, 5]])), Lattice(2, IntMatrix([[2, 1], [1, 3]]))
+    )
+    assert (res.status, res.reason, res.map) == (NOT_ISOMETRIC, "exhaustive", None)
+
+
+def fincke_pohst_radius(L1, L2):
+    """Largest |x_i| with x^T G1 x = G2_jj in a definite lattice, from sympy's adjugate."""
+    G = sp.Matrix(L1.gram.to_lists())
+    adj, det = G.adjugate(), G.det()
+    return max(
+        math.isqrt(math.floor(sp.Rational(L2.gram.rows[j][j] * adj[i, i], det)))
+        for i in range(L1.rank)
+        for j in range(L1.rank)
+    )
+
+
+def definite_pairs(rng, count):
+    """Seeded pairs of definite rank-2/3 lattices with equal invariants.
+
+    Random positive definite Grams (diagonal 1-6, off-diagonal up to 3),
+    negated half the time, are bucketed by rank, determinant, signature,
+    discriminant group and parity.  A pair is a Gram with an earlier
+    distinct Gram of its bucket, or, every third pair, with a conjugate.
+    """
+    buckets = {}
+    while count:
+        n = rng.randint(2, 3)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.randint(1, 6)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if ldlt_signature(IntMatrix(g)) != (n, 0, 0):
+            continue
+        L = Lattice(n, IntMatrix(g).scale(rng.choice((1, -1))))
+        if count % 3 == 0:
+            Q = random_unimodular(rng, n, steps=rng.randint(1, 6))
+            other = Lattice(n, Q.transpose() @ L.gram @ Q)
+        else:
+            parity = all(g[i][i] % 2 == 0 for i in range(n))
+            key = (determinant(L.gram), signature(L), discriminant_group(L), parity)
+            bucket = buckets.setdefault(key, [])
+            other = next((M for M in bucket if M != L), None)
+            bucket.insert(0, L)
+            if other is None:
+                continue
+        count -= 1
+        yield L, other
+
+
+def test_isometry_definite_pairs_are_decided():
+    exhaustive = 0
+    for L1, L2 in definite_pairs(random.Random(14), 600):
+        res = is_isometric_small(L1, L2)
+        assert res.status != NOT_FOUND_WITHIN_BOUND, (L1.gram, L2.gram)
+        if res.status == ISOMETRIC:
+            assert (res.map.transpose() @ L1.gram @ res.map) == L2.gram
+        else:
+            assert res.reason == "exhaustive", (L1.gram, L2.gram)
+            exhaustive += 1
+            box = fincke_pohst_radius(L1, L2) + 2
+            assert _search_isometry(L1.gram, L2.gram, box) is None, (L1.gram, L2.gram)
+    assert exhaustive >= 10
 
 
 def test_isometry_rank_and_degenerate_rejection():
