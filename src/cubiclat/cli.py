@@ -8,8 +8,10 @@ is emitted as a stable JSON document of the form
 and without it a terse human-readable rendering of the same data is
 printed.  Exit codes: 0 ok, 2 usage error, 3 unknown lattice name or a
 lattice file that cannot be read or parsed, 4 domain error (degenerate
-Gram, failed precondition, a result too long to print).  Diagnostics go
-to stderr, payloads to stdout.
+Gram, failed precondition, a result too long to print, ``admissible
+--max`` above ``admissibility.MAX_D`` or ``mukai search --bound`` above
+``mukai.MAX_BOUND``; a value over a ceiling is rejected before any work
+starts).  Diagnostics go to stderr, payloads to stdout.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ def resolve_lattice(source: str) -> Lattice:
 
 
 def admissible_payload(max_d: int, verbose: bool) -> dict:
-    payload: dict = {
+    if not verbose:
+        return {"max": max_d, "admissible": admissibility.enumerate_admissible(max_d)}
+    reports = admissibility.discriminant_reports(max_d)
+    return {
         "max": max_d,
-        "admissible": admissibility.enumerate_admissible(max_d),
-    }
-    if verbose:
-        payload["reports"] = [
+        "admissible": [r.d for r in reports if r.satisfies_star_star],
+        "reports": [
             {
                 "d": r.d,
                 "star": r.satisfies_star,
@@ -88,9 +91,9 @@ def admissible_payload(max_d: int, verbose: bool) -> dict:
                 "genus": r.genus,
                 "witness": r.witness,
             }
-            for r in map(admissibility.discriminant_report, range(1, max_d + 1))
-        ]
-    return payload
+            for r in reports
+        ],
+    }
 
 
 def lattice_info_payload(L: Lattice) -> dict:
@@ -301,6 +304,8 @@ def dispatch(args: argparse.Namespace) -> tuple[str, dict]:
     if args.command == "admissible":
         if args.max < 1:
             raise ValueError("--max must be a positive integer")
+        if args.max > admissibility.MAX_D:
+            raise ValueError(f"--max must be at most {admissibility.MAX_D}")
         return "admissible", admissible_payload(args.max, args.verbose)
     if args.command == "lattice":
         return "lattice info", lattice_info_payload(resolve_lattice(args.source))
@@ -309,6 +314,8 @@ def dispatch(args: argparse.Namespace) -> tuple[str, dict]:
             L = resolve_lattice(args.lattice)
             return "mukai verify", mukai_verify_payload(L, args.v, args.vp, args.w, args.d)
         if args.mukai_command == "search":
+            if args.bound > mukai.MAX_BOUND:
+                raise ValueError(f"--bound must be at most {mukai.MAX_BOUND}")
             L = resolve_lattice(args.lattice)
             return "mukai search", mukai_search_payload(L, args.d, args.bound)
         if args.mukai_command == "gram-lambda":

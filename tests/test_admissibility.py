@@ -2,6 +2,8 @@
 
 The oracle is a smallest-prime-factor sieve, which factors every d/2 in
 the tested range independently of the trial division in the library.
+The range functions read the library's witness table; they are compared
+with the per-d trial division.
 """
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from cubiclat.admissibility import (
     discriminant_report,
+    discriminant_reports,
     enumerate_admissible,
     genus_of_discriminant,
     satisfies_star,
@@ -135,6 +138,21 @@ def test_against_sieve_oracle_up_to_10_to_6():
     assert any(d % 6 == 2 for d in admissible)
     # enumerate agrees with the per-d check
     assert enumerate_admissible(limit) == admissible
+
+
+def per_d_admissible(max_d):
+    return [d for d in range(1, max_d + 1) if satisfies_star_star(d)[0]]
+
+
+def test_table_matches_trial_division_for_every_max_up_to_300():
+    for m in range(1, 301):
+        assert enumerate_admissible(m) == per_d_admissible(m), m
+        assert discriminant_reports(m) == list(map(discriminant_report, range(1, m + 1))), m
+
+
+def test_reports_reject_nonpositive_max():
+    with pytest.raises(ValueError):
+        discriminant_reports(0)
 
 
 def test_runtime_of_enumeration():

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from cubiclat import cli
+from cubiclat import admissibility, cli, mukai
 from cubiclat.exactlinalg import IntMatrix, determinant
 from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
 from cubiclat.mukai import kuznetsov_rank3_lattice
@@ -59,6 +59,58 @@ def test_admissible_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "admissible", "--max", "0")
     assert code == 4
+
+
+def test_admissible_payloads_match_per_d_reports():
+    # both payloads read the witness table; the per-d reports use trial division
+    for m in list(range(1, 301)) + [10**5]:
+        payload = cli.admissible_payload(m, verbose=True)
+        reports = list(map(admissibility.discriminant_report, range(1, m + 1)))
+        assert payload["reports"] == [
+            {
+                "d": r.d,
+                "star": r.satisfies_star,
+                "star_star": r.satisfies_star_star,
+                "genus": r.genus,
+                "witness": r.witness,
+            }
+            for r in reports
+        ], m
+        admissible = [r.d for r in reports if r.satisfies_star_star]
+        assert payload["admissible"] == admissible, m
+        assert cli.admissible_payload(m, verbose=False)["admissible"] == admissible, m
+
+
+class Started(Exception):
+    """Raised by a stand-in for the work a ceiling guards."""
+
+
+def refuse(*args):
+    raise Started
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_admissible_max_ceiling_exit_4_before_sieving(capsys, monkeypatch):
+    monkeypatch.setattr(admissibility, "_witness_table", refuse)
+    over = str(admissibility.MAX_D + 1)
+    assert_one_error_line(*run(capsys, "admissible", "--max", over))
+    assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose"))
+    with pytest.raises(Started):
+        cli.main(["admissible", "--max", str(admissibility.MAX_D)])
+
+
+def test_mukai_search_bound_ceiling_exit_4_before_searching(capsys, monkeypatch):
+    monkeypatch.setattr(mukai, "find_isotropic_triple", refuse)
+    over = str(mukai.MAX_BOUND + 1)
+    argv = ["mukai", "search", "--lattice", "L26", "--d", "26", "--bound"]
+    assert_one_error_line(*run(capsys, *argv, over))
+    with pytest.raises(Started):
+        cli.main(argv + [str(mukai.MAX_BOUND)])
 
 
 # ---------------------------------------------------------------------------
