@@ -22,6 +22,10 @@ from math import isqrt
 #: holds 5 * 10^6 entries and takes about 0.5 s and 100 MB to build
 MAX_D = 10**7
 
+#: largest range the command line reports d by d (``admissible --verbose``);
+#: at 2 * 10^5 the JSON is 27 MB and takes about 2 s and 190 MB to print
+MAX_VERBOSE_D = 2 * 10**5
+
 
 def satisfies_star(d: int) -> bool:
     """Condition (*): d > 6 and d = 0 or 2 (mod 6)."""

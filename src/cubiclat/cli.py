@@ -9,7 +9,8 @@ and without it a terse human-readable rendering of the same data is
 printed.  Exit codes: 0 ok, 2 usage error, 3 unknown lattice name or a
 lattice file that cannot be read or parsed, 4 domain error (degenerate
 Gram, failed precondition, a result too long to print, ``admissible
---max`` above ``admissibility.MAX_D`` or ``mukai search --bound`` above
+--max`` above ``admissibility.MAX_D``, ``admissible --verbose --max``
+above ``admissibility.MAX_VERBOSE_D`` or ``mukai search --bound`` above
 ``mukai.MAX_BOUND``; a value over a ceiling is rejected before any work
 starts).  Diagnostics go to stderr, payloads to stdout.
 """
@@ -17,6 +18,7 @@ starts).  Diagnostics go to stderr, payloads to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -197,11 +199,16 @@ def scroll_ideal_payload() -> dict:
 
 
 def emit(command: str, payload: dict, as_json: bool) -> None:
-    """Print the payload; nothing is printed if any of it cannot be rendered."""
+    """Print the payload; nothing is printed if any of it cannot be rendered.
+
+    The JSON document is the bytes of ``json.dumps(jsonable(doc), indent=2,
+    sort_keys=True)``, written in one pass over the payload, whose dict keys
+    are strings.
+    """
     try:
         if as_json:
-            doc = {"command": command, "status": "ok", "payload": jsonable(payload)}
-            lines = [json.dumps(doc, indent=2, sort_keys=True)]
+            doc = {"command": command, "status": "ok", "payload": payload}
+            lines = [_json_text(doc, "\n")]
         else:
             lines = human_lines(payload)
     except ValueError as e:
@@ -209,6 +216,41 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
         raise ValueError("the result holds an integer too long to print") from e
     for line in lines:
         print(line)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(jsonable(value), indent=2, sort_keys=True)`` at the
+    nesting whose line break and indentation is ``pad``."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # keys are strings: the encoder refuses any other type
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    return _json_text(jsonable(value), pad)
 
 
 def human_lines(payload: dict, indent: str = "") -> list[str]:
@@ -306,6 +348,8 @@ def dispatch(args: argparse.Namespace) -> tuple[str, dict]:
             raise ValueError("--max must be a positive integer")
         if args.max > admissibility.MAX_D:
             raise ValueError(f"--max must be at most {admissibility.MAX_D}")
+        if args.verbose and args.max > admissibility.MAX_VERBOSE_D:
+            raise ValueError(f"--max must be at most {admissibility.MAX_VERBOSE_D} with --verbose")
         return "admissible", admissible_payload(args.max, args.verbose)
     if args.command == "lattice":
         return "lattice info", lattice_info_payload(resolve_lattice(args.source))
@@ -330,10 +374,15 @@ def dispatch(args: argparse.Namespace) -> tuple[str, dict]:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args keeps no state in it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
     try:

@@ -5,13 +5,16 @@ against the library-side payload builders, so the CLI can never drift
 from the library.
 """
 
+import contextlib
+import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubiclat import admissibility, cli, mukai
+from cubiclat import admissibility, chow, cli, mukai
 from cubiclat.exactlinalg import IntMatrix, determinant
 from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
 from cubiclat.mukai import kuznetsov_rank3_lattice
@@ -111,6 +114,19 @@ def test_mukai_search_bound_ceiling_exit_4_before_searching(capsys, monkeypatch)
     assert_one_error_line(*run(capsys, *argv, over))
     with pytest.raises(Started):
         cli.main(argv + [str(mukai.MAX_BOUND)])
+
+
+def test_admissible_verbose_ceiling_exit_4_before_reporting(capsys, monkeypatch):
+    monkeypatch.setattr(admissibility, "discriminant_reports", refuse)
+    over = str(admissibility.MAX_VERBOSE_D + 1)
+    assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose"))
+    assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose", "--json"))
+    with pytest.raises(Started):
+        cli.main(["admissible", "--max", str(admissibility.MAX_VERBOSE_D), "--verbose"])
+    # the plain list is not held to it
+    monkeypatch.setattr(admissibility, "enumerate_admissible", refuse)
+    with pytest.raises(Started):
+        cli.main(["admissible", "--max", over])
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +425,82 @@ def test_human_mode_smoke(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    assert "reports" in run_json(capsys, "admissible", "--max", "42", "--verbose")["payload"]
+    assert "reports" not in run_json(capsys, "admissible", "--max", "42")["payload"]
+    code, out, _ = run(capsys, "--json", "admissible", "--max", "14")
+    assert code == 0 and json.loads(out)["payload"]["admissible"] == [14]
+    assert run(capsys, "admissible", "--max", "14") == (0, "max: 14\nadmissible: [14]\n", "")
+    first = run(capsys, "mukai", "search", "--d", "26")
+    assert first[0] == 2 and "--lattice" in first[2]
+    assert run(capsys, "mukai", "search", "--d", "26") == first
+    assert cli._parser.cache_info().misses == 1
+
+
+def emitted(payload: dict) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit("cmd", payload, as_json=True)
+    return out.getvalue()
+
+
+def dumped(payload: dict) -> str:
+    doc = {"command": "cmd", "status": "ok", "payload": cli.jsonable(payload)}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+big_ints = st.integers(10**599, 10**600 - 1) | st.integers(-(10**600 - 1), -(10**599))
+matrices = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3).map(
+        lambda rows: IntMatrix(rows, ncols=n)
+    )
+)
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | big_ints
+    | st.fractions()
+    | matrices
+    | st.text()
+    | st.sampled_from(["", "\u00e9", "\x00\x1f\x7f", '"\\/\n\t', "\u2028", "\U0001f600"])
+)
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.integers() | st.booleans(), max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=4))
+def test_emit_writes_the_bytes_of_json_dumps(payload):
+    assert emitted(payload) == dumped(payload)
+
+
+def test_emit_writes_the_bytes_of_json_dumps_for_every_payload_builder():
+    L26, L42 = cli.resolve_lattice("L26"), cli.resolve_lattice("L42")
+    payloads = [
+        cli.admissible_payload(20000, True),
+        cli.admissible_payload(20000, False),
+        cli.admissible_payload(13, True),
+        cli.mukai_verify_payload(L26, (1, 3, 1), (1, 0, 0), (11, 22, 7), 26),
+        cli.mukai_search_payload(L42, 42, 10),
+        cli.mukai_search_payload(L26, 27, 5),
+        cli.mukai_search_payload(cli.resolve_lattice("I(3,0)"), 1, 3),
+        cli.mukai_gram_lambda_payload(),
+        cli.mukai_normalize_payload(L42, (1, 3, 1), (1, 0, 0)),
+        cli.scroll_ideal_payload(),
+    ]
+    payloads += [cli.lattice_info_payload(cli.resolve_lattice(n)) for n in ("E8", "Gamma", "L26")]
+    payloads += [cli.chow_payload(name) for name in chow.SURFACES]
+    for payload in payloads:
+        assert emitted(payload) == dumped(payload)
 
 
 def test_jsonable_rejects_unknown():

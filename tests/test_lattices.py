@@ -636,3 +636,34 @@ def test_file_digit_ceiling_holds_under_any_interpreter_limit():
         if set_limit:
             set_limit(old)
     assert "set_int_max_str_digits" not in str(info.value)
+
+
+def test_file_rank_ceiling_fires_before_any_matrix_is_built(monkeypatch):
+    import json
+
+    from cubiclat import lattices
+    from cubiclat.lattices import MAX_RANK
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    def doc(rank, gram):
+        return json.dumps({"rank": rank, "gram": gram})
+
+    identity = [[int(i == j) for j in range(MAX_RANK)] for i in range(MAX_RANK)]
+    assert lattice_from_json(doc(MAX_RANK, identity)).rank == MAX_RANK
+    monkeypatch.setattr(lattices, "IntMatrix", refuse)
+    over = MAX_RANK + 1
+    for text in (
+        doc(over, [[0] * over for _ in range(over)]),  # rank and gram over
+        doc(over, []),  # the declared rank alone
+        doc(1, [[1]] * over),  # too many rows
+        doc(1, [[1] * over]),  # a row too long
+    ):
+        with pytest.raises(LatticeFormatError, match="rank at most"):
+            lattice_from_json(text)
+    with pytest.raises(Built):
+        lattice_from_json(doc(MAX_RANK, identity))
