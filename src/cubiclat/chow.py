@@ -276,15 +276,9 @@ class PushforwardRelation:
 
     def text(self) -> str:
         lhs, rhs = self.lhs, self.rhs
-        ints = [
-            c
-            for side in (lhs, rhs)
-            for c in side.coeffs.values()
-        ]
-        if all(c.denominator == 1 for c in ints):
-            g = 0
-            for c in ints:
-                g = gcd(g, abs(c.numerator))
+        coeffs = [*lhs.coeffs.values(), *rhs.coeffs.values()]
+        if all(c.denominator == 1 for c in coeffs):
+            g = gcd(*(c.numerator for c in coeffs))
             if g > 1:
                 lhs = lhs.scale(Fraction(1, g))
                 rhs = rhs.scale(Fraction(1, g))
@@ -309,34 +303,13 @@ def pushforward_relation(spec: SurfaceSpec) -> PushforwardRelation:
     return PushforwardRelation(lhs=lhs, rhs=rhs)
 
 
-def _reduce(c: Chow3Class, relation: PushforwardRelation) -> Chow3Class:
-    """Eliminate the relation's pivot symbol from a class.
-
-    The pivot is the leading non-h^3 symbol of the relation (a pushed
-    generator); classes are rewritten modulo the relation so the pivot
-    never appears in reduced form.
-    """
-    zero = relation.as_zero()
-    pivot = None
-    for sym in zero.coeffs:
-        if sym != H3:
-            pivot = sym
-            break
-    if pivot is None:
-        return c
-    coeff = c.get(pivot)
-    if coeff == 0:
-        return c
-    return c - zero.scale(coeff / zero.get(pivot))
-
-
 def restricted_pushforward(spec: SurfaceSpec) -> Chow3Class:
-    """i_*(h|_R) reduced modulo the pushforward relation.
+    """i_*(h|_R) reduced modulo the pushforward relation: (degree/3) h^3.
 
-    Whenever h|_R involves only the pivot generator this is the multiple
-    (degree/3) h^3.
+    The relation's pivot is the leading symbol P of p = i_*(h|_R), and
+    p - (3p - degree h^3) p_P / (3 p_P) = (degree/3) h^3 whatever h|_R is.
     """
-    return _reduce(spec.pushed_class(), pushforward_relation(spec))
+    return Chow3Class.symbol(H3, Fraction(spec.degree, 3))
 
 
 @dataclass(frozen=True)
@@ -354,24 +327,31 @@ class GdchGenerators:
 def gdch_generators(spec: SurfaceSpec) -> GdchGenerators:
     """Generators {h^3} + {i_*(g)} reduced modulo the pushforward relation.
 
-    With the ``ruling_proportional`` axiom set on the spec, the ruling
-    class is additionally declared proportional to h^3 (with an unknown
+    With p = i_*(h|_R) = c P + rest, where P is its leading symbol, the
+    relation rewrites P as ((degree/3) h^3 - rest) / c; every other pushed
+    generator is a single symbol and already reduced.  With the
+    ``ruling_proportional`` axiom set on the spec, the ruling class is
+    additionally declared proportional to h^3 (with an unknown
     coefficient), which collapses the scroll cases.
     """
-    relation = pushforward_relation(spec)
+    pushed = spec.pushed_class()
+    pivot, c = next(iter(pushed.coeffs.items()))
+    rest = pushed - Chow3Class.symbol(pivot, c)
     gens: list[Chow3Class] = [Chow3Class.symbol(H3)]
-    collapsed = True
     for gen in spec.pic_basis:
-        cls = _reduce(Chow3Class.symbol(spec.push_symbol(gen)), relation)
-        if cls.is_zero() or cls.proportional_to(H3):
+        sym = spec.push_symbol(gen)
+        if sym == pivot:
+            cls = (restricted_pushforward(spec) - rest).scale(1 / c)
+        else:
+            cls = Chow3Class.symbol(sym)
+        if cls.proportional_to(H3):
             continue
         if spec.ruling_proportional and cls.proportional_to(ELL):
             continue
         if cls in gens:
             continue
         gens.append(cls)
-        collapsed = False
-    return GdchGenerators(generators=tuple(gens), collapsed=collapsed)
+    return GdchGenerators(generators=tuple(gens), collapsed=len(gens) == 1)
 
 
 # ---------------------------------------------------------------------------

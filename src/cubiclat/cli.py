@@ -22,11 +22,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import admissibility, chow, cohomology, mukai
 from .errors import CubiclatError, LatticeFormatError
-from .exactlinalg import IntMatrix
 from .lattices import (
     Lattice,
     discriminant_group,
@@ -38,25 +36,6 @@ from .lattices import (
 USAGE_ERROR = 2
 PARSE_ERROR = 3
 DOMAIN_ERROR = 4
-
-
-def jsonable(value):
-    """Render library values into JSON-stable primitives.
-
-    Integers stay integers; non-integral rationals become strings in
-    lowest terms ("4/3"); matrices and vectors become nested lists.
-    """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    if isinstance(value, IntMatrix):
-        return value.to_lists()
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def resolve_lattice(source: str) -> Lattice:
@@ -180,7 +159,10 @@ def chow_payload(name: str) -> dict:
         "discriminant": disc,
         "relation": relation.text(),
         "restricted_pushforward": {
-            "class": {k: v for k, v in restricted.coeffs.items()},
+            "class": {
+                sym: c.numerator if c.denominator == 1 else str(c)
+                for sym, c in restricted.coeffs.items()
+            },
             "text": restricted.text(),
         },
         "gdch": {
@@ -201,9 +183,8 @@ def scroll_ideal_payload() -> dict:
 def emit(command: str, payload: dict, as_json: bool) -> None:
     """Print the payload; nothing is printed if any of it cannot be rendered.
 
-    The JSON document is the bytes of ``json.dumps(jsonable(doc), indent=2,
-    sort_keys=True)``, written in one pass over the payload, whose dict keys
-    are strings.
+    The JSON document is the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True)``.
     """
     try:
         if as_json:
@@ -222,8 +203,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, pad: str) -> str:
-    """``json.dumps(jsonable(value), indent=2, sort_keys=True)`` at the
-    nesting whose line break and indentation is ``pad``."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` at the nesting whose
+    line break and indentation is ``pad``; dict keys are strings."""
     if value is None:
         return "null"
     if value is True:
@@ -250,7 +231,7 @@ def _json_text(value, pad: str) -> str:
         else:
             body = sep.join([_json_text(v, inner) for v in value])
         return "[" + inner + body + pad + "]"
-    return _json_text(jsonable(value), pad)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def human_lines(payload: dict, indent: str = "") -> list[str]:
@@ -265,7 +246,7 @@ def human_lines(payload: dict, indent: str = "") -> list[str]:
                 out.extend(human_lines(item, indent + "  "))
                 out.append(f"{indent}  -")
         else:
-            out.append(f"{indent}{key}: {jsonable(value)}")
+            out.append(f"{indent}{key}: {value}")
     return out
 
 

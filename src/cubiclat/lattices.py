@@ -404,22 +404,23 @@ def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | No
     return T
 
 
-def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> IsometryResult:
+def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
     """Decide isometry of two nondegenerate lattices of rank <= 3.
 
     Cheap invariants (rank, determinant, signature, discriminant group,
     parity) are compared first; a mismatch proves the lattices distinct.
     When they all agree an exhaustive coordinate-box search looks for a
     basis image T with T^t G1 T = G2 and det T = +-1.  The box |T_ij| <= b
-    doubles, b = 1, 2, 4, ..., up to a last box of ``bound``.  The
-    witness is the first T in search order within the smallest of these
-    boxes that holds one, so a small witness costs a small search.  For
-    definite lattices the default ``bound`` is the Fincke-Pohst radius,
-    the largest isqrt(G2_jj adj(G1)_ii / det G1), since x^t G1 x = c
-    forces x_i^2 <= c adj(G1)_ii / det G1; a search past it without a
+    doubles, b = 1, 2, 4, ..., up to a last box of ``top``.  The witness
+    is the first T in search order within the smallest of these boxes
+    that holds one, so a small witness costs a small search.  For
+    definite lattices ``top`` is the Fincke-Pohst radius, the largest
+    isqrt(G2_jj adj(G1)_ii / det G1), since x^t G1 x = c forces
+    x_i^2 <= c adj(G1)_ii / det G1, and a search up to it without a
     witness answers ``not_isometric`` with reason ``"exhaustive"``.
-    Otherwise the default is the rank times the largest |entry| of
-    either Gram.
+    Otherwise ``top`` is the rank times the largest |entry| of either
+    Gram, and a search up to it without a witness answers
+    ``not_found_within_bound``.
     """
     if max(L1.rank, L2.rank) > 3:
         raise ValueError("is_isometric_small supports ranks up to 3")
@@ -447,9 +448,7 @@ def is_isometric_small(L1: Lattice, L2: Lattice, bound: int | None = None) -> Is
     if 0 in sig:
         adj = [determinant(IntMatrix([r[:i] + r[i + 1 :] for r in g[:i] + g[i + 1 :]])) for i in range(n)]
         radius = max(math.isqrt(L2.gram.rows[j][j] * a // det1) for j in range(n) for a in adj)
-    top = bound
-    if top is None:
-        top = radius if radius is not None else max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs()))
+    top = radius if radius is not None else max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs()))
     b = 1
     while True:
         b = min(b, top)
@@ -578,7 +577,9 @@ MAX_INT_DIGITS = 640
 
 #: largest rank a file may declare or hold; ``lattice info`` on a dense file
 #: with entries in [-4, 4] took 0.2, 0.6, 3.4 and 117 s at ranks 24, 32, 40
-#: and 48, the time going to the Smith normal form
+#: and 48, the time going to the Smith normal form.  It does not bound that
+#: cost, which also grows with the entries: with 20-digit entries it took
+#: 4.1 s at rank 24, 25 s at rank 32 and more than 130 s at rank 40
 MAX_RANK = 40
 
 

@@ -6,6 +6,7 @@ rational-point evaluation implemented in the library.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,67 @@ def test_gdch_with_ruling_axiom_collapses():
         out = gdch_generators(axiom)
         assert out.collapsed
         assert out.generators == (Chow3Class.symbol(H3),)
+
+
+def reference_reduce(c: Chow3Class, spec: SurfaceSpec) -> Chow3Class:
+    """Generic elimination: subtract the pushforward relation, scaled so that
+    its leading non-h^3 symbol cancels from ``c``."""
+    zero = pushforward_relation(spec).as_zero()
+    pivot = next(s for s in zero.coeffs if s != H3)
+    return c - zero.scale(c.get(pivot) / zero.get(pivot))
+
+
+def reference_gdch(spec: SurfaceSpec) -> tuple[list[Chow3Class], bool]:
+    gens = [Chow3Class.symbol(H3)]
+    collapsed = True
+    for gen in spec.pic_basis:
+        cls = reference_reduce(Chow3Class.symbol(spec.push_symbol(gen)), spec)
+        if cls.is_zero() or cls.proportional_to(H3):
+            continue
+        if spec.ruling_proportional and cls.proportional_to(ELL):
+            continue
+        if cls in gens:
+            continue
+        gens.append(cls)
+        collapsed = False
+    return gens, collapsed
+
+
+def random_spec(rng) -> SurfaceSpec:
+    basis = rng.sample(["H", "f", "line", "e1", "e2", "C"], rng.randint(1, 4))
+    if rng.random() < 0.1:
+        basis.append(rng.choice(basis))
+    while True:
+        # two in nine coefficients are zero
+        hres = {g: rng.choice([0, 0, 1, 1, 2, -1, 3, -2, 5]) for g in basis}
+        if any(hres.values()):
+            break
+    return SurfaceSpec(
+        name="random",
+        degree=rng.randint(1, 30),
+        pic_basis=tuple(basis),
+        h_restriction=hres,
+        rr=rng.randint(-20, 60),
+        ruling=rng.choice(basis),
+        ruling_proportional=rng.random() < 0.5,
+    )
+
+
+def test_closed_forms_match_generic_reduction():
+    rng = random.Random(2021)
+    multi_symbol = 0
+    for _ in range(2000):
+        spec = random_spec(rng)
+        pushed = spec.pushed_class()
+        multi_symbol += len(pushed.coeffs) > 1
+        assert restricted_pushforward(spec) == reference_reduce(pushed, spec), spec
+        gens, collapsed = reference_gdch(spec)
+        out = gdch_generators(spec)
+        assert [g.text() for g in out.generators] == [g.text() for g in gens], spec
+        assert out.generators == tuple(gens), spec
+        assert out.collapsed == collapsed, spec
+    # the closed form of the pivot generator is exercised, not only the one-symbol case
+    assert multi_symbol > 800
 
 
 # ---------------------------------------------------------------------------

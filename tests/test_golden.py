@@ -1,10 +1,11 @@
-"""Golden ``--json`` output of the command line.
+"""Golden output of the command line.
 
 ``golden_cli.json`` holds, for every command line in ``CASES``, the exact
 stdout and exit code of ``cubiclat``.  It covers every subcommand, every
 catalog name with its accepted case variants and rejected look-alikes,
-and the pinned isotropic-triple searches.  Any change to a byte of it is
-a change of observable behaviour.
+and the pinned isotropic-triple searches.  ``golden_cli_human.json`` does
+the same for the human-readable rendering of ``HUMAN_CASES``.  Any change
+to a byte of either is a change of observable behaviour.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from cubiclat import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+GOLDEN_HUMAN = pathlib.Path(__file__).with_name("golden_cli_human.json")
 
 NAMES = [
     "E8", "e8", " E8 ", "U", "u", "A2", "a2",
@@ -71,14 +73,40 @@ CASES = (
     + [["scroll-ideal", "--json"], []]
 )
 
+HUMAN_CASES = (
+    [["chow", "--surface", s] for s in ("plane", "veronese", "quartic-scroll", "septic-scroll")]
+    + [["lattice", "info", name] for name in ("A2", "Gamma", "L26")]
+    + [
+        ["mukai", "search", "--lattice", "L26", "--d", "26"],
+        ["mukai", "search", "--lattice", "L26", "--d", "27", "--bound", "5"],
+        ["mukai", "search", "--lattice", "E8", "--d", "2"],
+        ["mukai", "verify", "--lattice", "L26", "--v", "1,3,1", "--vp", "1,0,0",
+         "--w", "11,22,7", "--d", "26"],
+        ["mukai", "normalize", "--lattice", "L42", "--v", "1,3,1", "--vp", "1,0,0"],
+        ["mukai", "gram-lambda"],
+        ["admissible", "--max", "42", "--verbose"],
+        ["admissible", "--max", "80"],
+        ["scroll-ideal"],
+    ]
+)
+
 
 def test_golden_covers_exactly_the_cases():
     assert [entry["argv"] for entry in json.loads(GOLDEN.read_text())] == CASES
+    assert [entry["argv"] for entry in json.loads(GOLDEN_HUMAN.read_text())] == HUMAN_CASES
 
 
 @pytest.mark.parametrize(
     "entry", json.loads(GOLDEN.read_text()), ids=lambda e: " ".join(e["argv"]) or "<none>"
 )
 def test_golden_cli_output(capsys, entry):
+    code = cli.main(list(entry["argv"]))
+    assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GOLDEN_HUMAN.read_text()), ids=lambda e: " ".join(e["argv"])
+)
+def test_golden_cli_human_output(capsys, entry):
     code = cli.main(list(entry["argv"]))
     assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
