@@ -33,8 +33,6 @@ from .chow import (
     restricted_pushforward,
     scroll_membership,
     scroll_parameterization,
-    surface_spec_from_json,
-    surface_spec_to_json,
 )
 from .cohomology import (
     CohClass,

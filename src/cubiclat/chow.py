@@ -25,15 +25,12 @@ coordinates of P^5, together with the standard rational parameterization
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import LatticeFormatError
 from .exactlinalg import IntMatrix
-from .lattices import read_json_object
 
 H3 = "h^3"
 ELL = "ell"
@@ -198,60 +195,6 @@ SEPTIC_SCROLL = SurfaceSpec(
 SURFACES: dict[str, SurfaceSpec] = {
     s.name: s for s in (PLANE, VERONESE, QUARTIC_SCROLL, SEPTIC_SCROLL)
 }
-
-
-# A surface spec file is a JSON object carrying the fields of SurfaceSpec
-# ("ruling_proportional" is optional).  It is parsed by the lattice file
-# reader ``lattices.read_json_object``, so an unreadable or malformed
-# document raises ``LatticeFormatError``.  The writer is canonical, so
-# write/read/write round-trips are byte identical.
-
-
-def surface_spec_to_json(spec: SurfaceSpec) -> str:
-    doc = {
-        "degree": spec.degree,
-        "h_restriction": dict(spec.h_restriction),
-        "name": spec.name,
-        "pic_basis": list(spec.pic_basis),
-        "rr": spec.rr,
-        "ruling": spec.ruling,
-    }
-    if spec.ruling_proportional:
-        doc["ruling_proportional"] = True
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
-
-
-def surface_spec_from_json(text: str) -> SurfaceSpec:
-    required = ("name", "degree", "pic_basis", "h_restriction", "rr", "ruling")
-    doc = read_json_object(text, "surface", required)
-    if not isinstance(doc["name"], str) or not isinstance(doc["ruling"], str):
-        raise LatticeFormatError("fields 'name' and 'ruling' must be strings")
-    for key in ("degree", "rr"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise LatticeFormatError(f"field {key!r} must be an integer")
-    pic = doc["pic_basis"]
-    if not isinstance(pic, list) or any(not isinstance(g, str) for g in pic):
-        raise LatticeFormatError("field 'pic_basis' must be an array of strings")
-    hres = doc["h_restriction"]
-    if not isinstance(hres, dict) or any(
-        not isinstance(c, int) or isinstance(c, bool) for c in hres.values()
-    ):
-        raise LatticeFormatError("field 'h_restriction' must map names to integers")
-    flag = doc.get("ruling_proportional", False)
-    if not isinstance(flag, bool):
-        raise LatticeFormatError("field 'ruling_proportional' must be a boolean")
-    try:
-        return SurfaceSpec(
-            name=doc["name"],
-            degree=doc["degree"],
-            pic_basis=tuple(pic),
-            h_restriction=hres,
-            rr=doc["rr"],
-            ruling=doc["ruling"],
-            ruling_proportional=flag,
-        )
-    except ValueError as e:
-        raise LatticeFormatError(str(e)) from e
 
 
 def label_gram(degree: int, rr: int) -> tuple[IntMatrix, int]:

@@ -259,7 +259,12 @@ def _vector(text: str) -> tuple[int, ...]:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call rather than at import.
+
+    parse_args keeps no state in it, so one instance serves every call.
+    """
     # SUPPRESS keeps an absent subcommand-level --json from clobbering the
     # top-level default in the shared namespace
     common = argparse.ArgumentParser(add_help=False)
@@ -353,12 +358,6 @@ def dispatch(args: argparse.Namespace) -> tuple[str, dict]:
     if args.command == "scroll-ideal":
         return "scroll-ideal", scroll_ideal_payload()
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import; parse_args keeps no state in it
-    return build_parser()
 
 
 def main(argv=None) -> int:

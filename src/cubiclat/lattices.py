@@ -7,7 +7,8 @@ canonical ones exist):
 * ``E8`` is positive definite, with the Cartan matrix of the E8 root
   system in Bourbaki numbering as its Gram matrix.
 * The square of the hyperplane class inside the odd unimodular lattice
-  ``I(21,2)`` is taken to be ``(1, 1, 1, 0, ..., 0)``, a norm-3 vector.
+  ``I(21,2)`` is taken to be ``(1, ..., 1, 3, 3)`` (21 ones), a
+  characteristic norm-3 vector, so its orthogonal complement is even.
 * Canonical ordering of integer coordinate vectors is by L1 norm first,
   then lexicographically; sign-symmetric searches normalize the first
   nonzero coordinate to be positive.
@@ -503,9 +504,14 @@ def middle_lattice() -> Lattice:
 
 
 def hyperplane_square() -> LatticeVec:
-    """The norm-3 class (1,1,1,0,...,0) inside I(21,2); a fixed convention."""
+    """The norm-3 class (1,...,1, 3, 3), with 21 ones, inside I(21,2).
+
+    Every coordinate is odd, so the class is characteristic and its
+    complement is even: rank 22, signature (20, 2) and group Z/3, which
+    determine Gamma (Nikulin, Cor. 1.13.3).  The choice is a convention.
+    """
     L = middle_lattice()
-    return LatticeVec(L, (1, 1, 1) + (0,) * 20)
+    return LatticeVec(L, (1,) * 21 + (3, 3))
 
 
 def kuznetsov_rank3_lattice(d: int) -> Lattice:
@@ -564,12 +570,12 @@ def lattice_by_name(name: str) -> Lattice:
 # ---------------------------------------------------------------------------
 # lattice file format
 
-# A lattice file is a JSON document with fields "rank" (integer), "gram"
+# A lattice file is a JSON object with fields "rank" (integer), "gram"
 # (array of arrays of integers) and optionally "label" (string).  The
 # writer is canonical (sorted keys, fixed separators, trailing newline),
-# so write/read/write round-trips are byte identical.  Surface spec files
-# (see ``chow``) are read through the same ``read_json_object``; every
-# unreadable or malformed file raises ``LatticeFormatError``.
+# so write/read/write round-trips are byte identical.  ``lattice_from_json``
+# is the one file reader: every unreadable or malformed file raises
+# ``LatticeFormatError``.
 
 #: longest integer literal a file may hold; at most 640, the lowest digit
 #: limit the interpreter can set, so this check fires first under any setting
@@ -596,8 +602,8 @@ def _parse_int(literal: str) -> int:
     return int(literal)
 
 
-def read_json_object(text: str, kind: str, required: Sequence[str]) -> dict:
-    """Parse a JSON object holding the required fields, or raise LatticeFormatError.
+def lattice_from_json(text: str) -> Lattice:
+    """Parse a lattice file, or raise LatticeFormatError.
 
     Integer literals longer than ``MAX_INT_DIGITS`` digits are rejected.
     """
@@ -609,15 +615,10 @@ def read_json_object(text: str, kind: str, required: Sequence[str]) -> dict:
         # nesting past the interpreter's recursion limit
         raise LatticeFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise LatticeFormatError(f"{kind} document must be a JSON object")
-    for key in required:
+        raise LatticeFormatError("lattice document must be a JSON object")
+    for key in ("rank", "gram"):
         if key not in doc:
             raise LatticeFormatError(f"missing field: {key}")
-    return doc
-
-
-def lattice_from_json(text: str) -> Lattice:
-    doc = read_json_object(text, "lattice", ("rank", "gram"))
     rank = doc["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise LatticeFormatError("field 'rank' must be a nonnegative integer")

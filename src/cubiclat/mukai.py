@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateGramError, ParityError
-from .exactlinalg import IntMatrix, coord_key, dot, kernel_basis, ldlt_signature
+from .exactlinalg import IntMatrix, coord_key, dot, ldlt_signature
 from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
     Lattice,
@@ -36,6 +36,7 @@ from .lattices import (
     basis_gram,
     inner_product,
     integer_solutions,
+    orthogonal_complement,
     vectors_with_norm,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
@@ -224,9 +225,6 @@ def hyperbolic_normalize(
         )
     k = -q // 2
     b2 = tuple(a + k * b for a, b in zip(vp.coords, vc.coords))
-    pairing = IntMatrix(
-        [L.gram.mul_vec(vc.coords), L.gram.mul_vec(b2)], ncols=L.rank
-    )
-    complement = kernel_basis(pairing)
-    basis_coords = [vc.coords, b2, *complement]
+    _, complement = orthogonal_complement(L, [vc.coords, b2])
+    basis_coords = [vc.coords, b2, *(c.coords for c in complement)]
     return [LatticeVec(L, b) for b in basis_coords], basis_gram(L, basis_coords)

@@ -303,55 +303,3 @@ def test_quadratic_form_validation():
     q = quartic_scroll_minors()[0]
     with pytest.raises(ValueError):
         q.evaluate((1, 2, 3))
-
-
-# ---------------------------------------------------------------------------
-# surface spec files
-
-
-def test_surface_spec_roundtrip_is_bit_exact():
-    from cubiclat.chow import surface_spec_from_json, surface_spec_to_json
-
-    for spec in SURFACES.values():
-        text = surface_spec_to_json(spec)
-        back = surface_spec_from_json(text)
-        assert back == spec
-        assert surface_spec_to_json(back) == text
-    flagged = dataclasses.replace(SEPTIC_SCROLL, ruling_proportional=True)
-    assert surface_spec_from_json(surface_spec_to_json(flagged)) == flagged
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{oops",
-        "[]",
-        '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"f": 1}, "rr": 1}',
-        '{"name": "x", "degree": "1", "pic_basis": ["f"], "h_restriction": {"f": 1}, "rr": 1, "ruling": "f"}',
-        '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"f": 0}, "rr": 1, "ruling": "f"}',
-        '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"g": 1}, "rr": 1, "ruling": "f"}',
-        '{"name": "x", "degree": 1, "pic_basis": [1], "h_restriction": {"f": 1}, "rr": 1, "ruling": "f"}',
-        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),
-        pytest.param(
-            '{"name": "x", "degree": 1, "pic_basis": ["f"], "h_restriction": {"f": 1}, '
-            '"rr": 1' + "0" * 5000 + ', "ruling": "f"}',
-            id="huge-integer",
-        ),
-    ],
-)
-def test_surface_spec_parse_errors(text):
-    from cubiclat.chow import surface_spec_from_json
-    from cubiclat.errors import LatticeFormatError
-
-    with pytest.raises(LatticeFormatError):
-        surface_spec_from_json(text)
-
-
-def test_surface_spec_file_drives_the_relations():
-    # a spec loaded from its structured-text form computes the same data
-    from cubiclat.chow import surface_spec_from_json, surface_spec_to_json
-
-    loaded = surface_spec_from_json(surface_spec_to_json(SEPTIC_SCROLL))
-    assert pushforward_relation(loaded).text() == "3 h.R = 7 h^3"
-    assert label_gram(loaded.degree, loaded.rr)[1] == 26
-    assert not gdch_generators(loaded).collapsed

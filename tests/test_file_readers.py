@@ -1,16 +1,15 @@
-"""Fuzz tests of the two file readers.
+"""Fuzz test of the lattice file reader.
 
-``lattice_from_json`` and ``surface_spec_from_json`` read user files, so
-any text must either parse or raise ``LatticeFormatError``.  The inputs
-are arbitrary text, arbitrary JSON documents, and valid documents with
-a few fields replaced by any JSON value or removed.
+``lattice_from_json`` is the one reader of user files, so any text must
+either parse or raise ``LatticeFormatError``.  The inputs are arbitrary
+text, arbitrary JSON documents, and valid documents with a few fields
+replaced by any JSON value or removed.
 """
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from cubiclat.chow import SURFACES, surface_spec_from_json, surface_spec_to_json
 from cubiclat.errors import LatticeFormatError
 from cubiclat.lattices import lattice_from_json
 
@@ -39,24 +38,19 @@ def valid_lattices(draw):
     return doc
 
 
-valid_surfaces = st.sampled_from(
-    [json.loads(surface_spec_to_json(spec)) for spec in SURFACES.values()]
-)
-
-
 int_rows = st.lists(st.lists(st.integers(-2, 2), max_size=4), max_size=4)
 REMOVE = object()
 
 
 @st.composite
-def corrupted(draw, valid, optional):
+def corrupted(draw):
     """A valid document with one or two fields replaced or removed.
 
     Most replacements are small integers or integer rows, which pass the
     type checks and reach the value checks behind them.
     """
-    doc = dict(draw(valid))
-    keys = st.sampled_from(sorted(doc) + [optional, "extra"])
+    doc = draw(valid_lattices())
+    keys = st.sampled_from(sorted(doc) + ["label", "extra"])
     for key in draw(st.lists(keys, min_size=1, max_size=2, unique=True)):
         value = draw(st.integers(-2, 5) | int_rows | values | st.just(REMOVE))
         if value is REMOVE:
@@ -66,24 +60,13 @@ def corrupted(draw, valid, optional):
     return doc
 
 
-def documents(valid, optional):
-    return st.text() | values.map(json.dumps) | corrupted(valid, optional).map(json.dumps)
+documents = st.text() | values.map(json.dumps) | corrupted().map(json.dumps)
 
 
-def reads_or_rejects(reader, text):
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_lattice_reader_raises_only_format_errors(text):
     try:
-        reader(text)
+        lattice_from_json(text)
     except LatticeFormatError:
         pass
-
-
-@settings(max_examples=150, deadline=None)
-@given(documents(valid_lattices(), "label"))
-def test_lattice_reader_raises_only_format_errors(text):
-    reads_or_rejects(lattice_from_json, text)
-
-
-@settings(max_examples=150, deadline=None)
-@given(documents(valid_surfaces, "ruling_proportional"))
-def test_surface_reader_raises_only_format_errors(text):
-    reads_or_rejects(surface_spec_from_json, text)

@@ -222,6 +222,8 @@ def test_complement_of_hyperplane_square():
     assert sub.rank == 22
     assert discriminant_group(sub).factors == (3,)
     assert signature(sub) == (20, 2)
+    # h2 is characteristic, so the complement is even, as Gamma is
+    assert all(sub.gram.rows[i][i] % 2 == 0 for i in range(sub.rank))
     # primitivity: saturation of the basis has index 1
     sat = saturation(L, basis)
     assert len(sat) == len(basis)
@@ -281,8 +283,8 @@ def _label_sublattice(L, r_coords):
 @pytest.mark.parametrize(
     "r_coords,expected_disc",
     [
-        ((0, 0, 1, 1, 1) + (0,) * 18, 8),
-        ((2, 1, 1, 1, 1, 1, 1) + (0,) * 16, 14),
+        ((1, 1, 1, 1) + (0,) * 17 + (1, 0), 8),
+        ((2, 2, 1, 1, 1) + (0,) * 16 + (1, 0), 14),
     ],
 )
 def test_unimodular_complement_det_identity(r_coords, expected_disc):
@@ -613,6 +615,8 @@ HUGE_INT = "1" + "0" * 5000
         '{"rank": 2, "gram": [[0, 1, 2], [1, 0, 3]]}',
         pytest.param(DEEPLY_NESTED, id="deeply-nested"),
         pytest.param('{"rank": 1, "gram": [[' + HUGE_INT + "]]}", id="huge-integer"),
+        '{"rank": 1, "gram": [[true]]}',
+        '{"rank": 1, "gram": [[1.5]]}',
     ],
 )
 def test_file_parse_errors(text):
