@@ -6,9 +6,10 @@ is emitted as a stable JSON document of the form
     {"command": ..., "status": "ok", "payload": {...}}
 
 and without it a terse human-readable rendering of the same data is
-printed.  Exit codes: 0 ok, 2 usage error, 3 unknown lattice name or a
-lattice file that cannot be read or parsed, 4 domain error (degenerate
-Gram, failed precondition, a result too long to print, ``admissible
+printed.  Exit codes: 0 ok, 1 stdout closed before the output was
+written, 2 usage error, 3 unknown lattice name or a lattice file that
+cannot be read or parsed, 4 domain error (degenerate Gram, failed
+precondition, a result too long to print, ``admissible
 --max`` above ``admissibility.MAX_D``, ``admissible --verbose --max``
 above ``admissibility.MAX_VERBOSE_D`` or ``mukai search --bound`` above
 ``mukai.MAX_BOUND``; a value over a ceiling is rejected before any work
@@ -33,6 +34,7 @@ from .lattices import (
     signature,
 )
 
+CLOSED_STDOUT = 1
 USAGE_ERROR = 2
 PARSE_ERROR = 3
 DOMAIN_ERROR = 4
@@ -368,6 +370,12 @@ def main(argv=None) -> int:
     try:
         command, payload = dispatch(args)
         emit(command, payload, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the
+        # interpreter's final flush of the buffer cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except LatticeFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR

@@ -5,8 +5,9 @@ is no floating point and no rational arithmetic, and therefore no
 rounding or overflow anywhere.  Matrices are small (rank at most a few
 dozen in this library), so the implementations favour clarity and
 exactness over asymptotics: Smith normal form by extended-gcd row and
-column operations, determinants by fraction-free Bareiss elimination,
-and the fraction-free signature by symmetric Bareiss elimination.
+column operations on one matrix, whose appended rows and columns record
+only the transforms a caller reads, determinants by fraction-free
+Bareiss elimination, and the signature by symmetric Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -146,6 +147,94 @@ class IntMatrix:
         return max((abs(e) for r in self.rows for e in r), default=0)
 
 
+def smith_eliminate(a: list[list[int]], r: int, c: int) -> int:
+    """Bring the top-left r x c block of ``a`` to Smith form in place.
+
+    Returns the rank of the block.  Row operations act on whole rows of
+    ``a`` and column operations on whole columns, while the pivots, the gcd
+    steps, the divisibility fix-up and the sign fix read only the block.  So
+    rows below the block and columns right of it record the transforms:
+    ``[[M, I], [I, 0]]`` becomes ``[[D, U], [V, 0]]`` with U*M*V = D, and a
+    caller pays only for the transforms it appends.  D is diagonal with
+    nonnegative entries in a divisibility chain d1 | d2 | ..., zero entries
+    trailing.
+    """
+
+    def clear_pivot(t):
+        # Eliminate column and row t of the block outside the pivot.  When
+        # the pivot divides an entry, a plain elimination is used (it leaves
+        # the pivot row and column untouched); otherwise a 2x2 gcd transform
+        # strictly shrinks |pivot|, so the loop terminates.
+        while True:
+            for i in range(t + 1, r):
+                b = a[i][t]
+                if b == 0:
+                    continue
+                p = a[t][t]
+                if b % p == 0:
+                    q = b // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                else:
+                    g, x, y = xgcd(p, b)
+                    s, w = -(b // g), p // g
+                    rt, ri = a[t], a[i]
+                    a[t] = [x * e + y * f for e, f in zip(rt, ri)]
+                    a[i] = [s * e + w * f for e, f in zip(rt, ri)]
+            for j in range(t + 1, c):
+                b = a[t][j]
+                if b == 0:
+                    continue
+                p = a[t][t]
+                if b % p == 0:
+                    q = b // p
+                    for row in a:
+                        row[j] -= q * row[t]
+                else:
+                    g, x, y = xgcd(p, b)
+                    s, w = -(b // g), p // g
+                    for row in a:
+                        e, f = row[t], row[j]
+                        row[t] = x * e + y * f
+                        row[j] = s * e + w * f
+            if all(a[t][j] == 0 for j in range(t + 1, c)) and all(
+                a[i][t] == 0 for i in range(t + 1, r)
+            ):
+                return
+
+    rank = 0
+    for t in range(min(r, c)):
+        # pivot: smallest nonzero absolute value in the remaining block,
+        # first in row-major order among ties
+        best = min(
+            ((abs(a[i][j]), i, j) for i in range(t, r) for j in range(t, c) if a[i][j]),
+            default=None,
+        )
+        if best is None:
+            break
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        clear_pivot(t)
+        rank = t + 1
+
+    # divisibility chain on the diagonal
+    while True:
+        bad = next((t for t in range(rank - 1) if a[t + 1][t + 1] % a[t][t] != 0), None)
+        if bad is None:
+            break
+        # pull the offending entry into column bad and re-clear
+        for row in a:
+            row[bad] += row[bad + 1]
+        clear_pivot(bad)
+
+    for t in range(rank):
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+    return rank
+
+
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns (D, U, V) with U*M*V = D.
 
@@ -155,107 +244,13 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     Smith form they are identities).
     """
     r, c = M.nrows, M.ncols
-    d = [list(row) for row in M.rows]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def row_combine(i, k, a, b, p, q):
-        # rows i, k of d and u become (a*row_i + b*row_k, p*row_i + q*row_k)
-        for mat in (d, u):
-            ri, rk = mat[i], mat[k]
-            mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
-            mat[k] = [p * x + q * y for x, y in zip(ri, rk)]
-
-    def col_combine(j, k, a, b, p, q):
-        for mat in (d, v):
-            for row in mat:
-                x, y = row[j], row[k]
-                row[j] = a * x + b * y
-                row[k] = p * x + q * y
-
-    def clear_pivot(t):
-        # Eliminate column and row t outside the pivot, keeping U*M*V = D.
-        # When the pivot divides an entry, a plain elimination is used (it
-        # leaves the pivot row and column untouched); otherwise a 2x2 gcd
-        # transform strictly shrinks |pivot|, so the loop terminates.
-        while True:
-            for i in range(t + 1, r):
-                b = d[i][t]
-                if b == 0:
-                    continue
-                a = d[t][t]
-                if b % a == 0:
-                    q = b // a
-                    for mat in (d, u):
-                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
-                else:
-                    g, x, y = xgcd(a, b)
-                    row_combine(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, c):
-                b = d[t][j]
-                if b == 0:
-                    continue
-                a = d[t][t]
-                if b % a == 0:
-                    q = b // a
-                    for mat in (d, v):
-                        for row in mat:
-                            row[j] -= q * row[t]
-                else:
-                    g, x, y = xgcd(a, b)
-                    col_combine(t, j, x, y, -(b // g), a // g)
-            if all(d[t][j] == 0 for j in range(t + 1, c)) and all(
-                d[i][t] == 0 for i in range(t + 1, r)
-            ):
-                return
-
-    rank = 0
-    for t in range(min(r, c)):
-        # pivot: smallest nonzero absolute value in the remaining block,
-        # first in row-major order among ties
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            d[t], d[bi] = d[bi], d[t]
-            u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            for mat in (d, v):
-                for row in mat:
-                    row[t], row[bj] = row[bj], row[t]
-        clear_pivot(t)
-        rank = t + 1
-
-    # divisibility chain on the diagonal
-    while True:
-        bad = None
-        for t in range(rank - 1):
-            if d[t + 1][t + 1] % d[t][t] != 0:
-                bad = t
-                break
-        if bad is None:
-            break
-        t = bad
-        # pull the offending entry into column t and re-clear
-        for mat in (d, v):
-            for row in mat:
-                row[t] += row[t + 1]
-        clear_pivot(t)
-
-    for t in range(rank):
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-
+    a = [list(row) + [int(i == k) for k in range(r)] for i, row in enumerate(M.rows)]
+    a += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
+    smith_eliminate(a, r, c)
     return (
-        IntMatrix(d, ncols=c),
-        IntMatrix(u, ncols=r),
-        IntMatrix(v, ncols=c),
+        IntMatrix([row[:c] for row in a[:r]], ncols=c),
+        IntMatrix([row[c:] for row in a[:r]], ncols=r),
+        IntMatrix([row[:c] for row in a[r:]], ncols=c),
     )
 
 
@@ -294,14 +289,10 @@ def kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     vector is sign-normalized so its first nonzero entry is positive.  An
     empty list means the kernel is trivial.
     """
-    D, _, V = smith_normal_form(M)
-    rank = sum(
-        1 for t in range(min(D.nrows, D.ncols)) if D.rows[t][t] != 0
-    )
-    cols = []
-    for j in range(rank, M.ncols):
-        cols.append(sign_normalize(tuple(V.rows[i][j] for i in range(M.ncols))))
-    return cols
+    r, c = M.nrows, M.ncols
+    a = M.to_lists() + [[int(i == k) for k in range(c)] for i in range(c)]
+    rank = smith_eliminate(a, r, c)
+    return [sign_normalize([a[r + i][j] for i in range(c)]) for j in range(rank, c)]
 
 
 def saturate_rows(M: IntMatrix) -> list[tuple[int, ...]]:

@@ -538,6 +538,29 @@ def test_module_execution(tmp_path):
     assert json.loads(out.stdout)["payload"]["admissible"] == [14]
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    import os
+    import pathlib
+    import subprocess
+
+    import cubiclat
+
+    src = str(pathlib.Path(cubiclat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubiclat", "admissible", "--max", "200000", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_runtime_imports_are_stdlib_only():
     import os
     import pathlib
