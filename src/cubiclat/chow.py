@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, _require_ints
 
 H3 = "h^3"
 ELL = "ell"
@@ -320,11 +320,10 @@ class QuadraticForm6:
     coeffs: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
-        for (i, j), c in self.coeffs.items():
+        for i, j in self.coeffs:
             if not 0 <= i <= j < 6:
                 raise ValueError(f"monomial key {(i, j)} needs 0 <= i <= j < 6")
-            if not isinstance(c, int):
-                raise ValueError("monomial coefficients must be integers")
+        _require_ints(self.coeffs.values())
         clean = {key: c for key, c in sorted(self.coeffs.items()) if c != 0}
         object.__setattr__(self, "coeffs", clean)
 

@@ -6,10 +6,10 @@ is emitted as a stable JSON document of the form
     {"command": ..., "status": "ok", "payload": {...}}
 
 and without it a terse human-readable rendering of the same data is
-printed.  Exit codes: 0 ok, 1 stdout closed before the output was
-written, 2 usage error, 3 unknown lattice name or a lattice file that
-cannot be read or parsed, 4 domain error (degenerate Gram, failed
-precondition, a result too long to print, ``admissible
+printed.  Exit codes: 0 ok, 1 stdout closed before the output (help
+text included) was written, 2 usage error, 3 unknown lattice name or a
+lattice file that cannot be read or parsed, 4 domain error (degenerate
+Gram, failed precondition, a result too long to print, ``admissible
 --max`` above ``admissibility.MAX_D``, ``admissible --verbose --max``
 above ``admissibility.MAX_VERBOSE_D`` or ``mukai search --bound`` above
 ``mukai.MAX_BOUND``; a value over a ceiling is rejected before any work
@@ -121,16 +121,7 @@ def mukai_search_payload(L: Lattice, d: int, bound: int) -> dict:
         payload["reason"] = result.reason
     if result.triple is not None:
         t = result.triple
-        check = mukai.verify_triple(L, t)
-        payload.update(
-            {
-                "v": list(t.v.coords),
-                "vprime": list(t.vprime.coords),
-                "w": list(t.w.coords),
-                "conditions": check.conditions(),
-                "all_ok": check.all_ok,
-            }
-        )
+        payload.update(mukai_verify_payload(L, t.v.coords, t.vprime.coords, t.w.coords, d))
     return payload
 
 
@@ -261,11 +252,21 @@ def _vector(text: str) -> tuple[int, ...]:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse 3.11+ drops an OSError from this write; let a closed
+        # stdout reach main, as it does for every other output
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call rather than at import.
 
     parse_args keeps no state in it, so one instance serves every call.
+    Each leaf's ``run`` maps the parsed arguments to (command, payload).
+    The handlers look the payload builders up by name when they run, so a
+    function rebound in this module after the parser is built still serves.
     """
     # SUPPRESS keeps an absent subcommand-level --json from clobbering the
     # top-level default in the shared namespace
@@ -277,7 +278,7 @@ def _parser() -> argparse.ArgumentParser:
         help="emit a stable JSON payload",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubiclat",
         description="exact lattice and intersection-theory computations "
         "for special cubic fourfolds and their associated K3 surfaces",
@@ -287,17 +288,31 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def admissible(a):
+        if a.max < 1:
+            raise ValueError("--max must be a positive integer")
+        if a.max > admissibility.MAX_D:
+            raise ValueError(f"--max must be at most {admissibility.MAX_D}")
+        if a.verbose and a.max > admissibility.MAX_VERBOSE_D:
+            raise ValueError(f"--max must be at most {admissibility.MAX_VERBOSE_D} with --verbose")
+        return "admissible", admissible_payload(a.max, a.verbose)
+
     p = sub.add_parser("admissible", parents=[common], help="enumerate admissible discriminants")
     p.add_argument("--max", type=int, required=True, help="upper bound on d")
     p.add_argument("--verbose", action="store_true", help="include per-d reports")
+    p.set_defaults(run=admissible)
 
     p = sub.add_parser("lattice", parents=[common], help="lattice catalog and files")
     lsub = p.add_subparsers(dest="lattice_command", required=True)
     q = lsub.add_parser("info", parents=[common], help="rank, determinant, signature, discriminant group")
     q.add_argument("source", help="catalog name (Gamma, E8, U, ...) or lattice file path")
+    q.set_defaults(run=lambda a: ("lattice info", lattice_info_payload(resolve_lattice(a.source))))
 
     p = sub.add_parser("mukai", parents=[common], help="rank-3 lattices and isotropic triples")
     msub = p.add_subparsers(dest="mukai_command", required=True)
+
+    def verify(a):
+        return "mukai verify", mukai_verify_payload(resolve_lattice(a.lattice), a.v, a.vp, a.w, a.d)
 
     q = msub.add_parser("verify", parents=[common], help="check the four triple conditions")
     q.add_argument("--lattice", required=True)
@@ -305,71 +320,51 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--vp", type=_vector, required=True)
     q.add_argument("--w", type=_vector, required=True)
     q.add_argument("--d", type=int, required=True)
+    q.set_defaults(run=verify)
+
+    def search(a):
+        if a.bound > mukai.MAX_BOUND:
+            raise ValueError(f"--bound must be at most {mukai.MAX_BOUND}")
+        return "mukai search", mukai_search_payload(resolve_lattice(a.lattice), a.d, a.bound)
 
     q = msub.add_parser("search", parents=[common], help="search a coordinate box for a triple")
     q.add_argument("--lattice", required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--bound", type=int, default=25)
+    q.set_defaults(run=search)
 
-    msub.add_parser("gram-lambda", parents=[common], help="Euler-pairing Gram of (lambda1, lambda2)")
+    q = msub.add_parser("gram-lambda", parents=[common], help="Euler-pairing Gram of (lambda1, lambda2)")
+    q.set_defaults(run=lambda a: ("mukai gram-lambda", mukai_gram_lambda_payload()))
+
+    def normalize(a):
+        return "mukai normalize", mukai_normalize_payload(resolve_lattice(a.lattice), a.v, a.vp)
 
     q = msub.add_parser("normalize", parents=[common], help="split off the hyperbolic plane of (v, v')")
     q.add_argument("--lattice", required=True)
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
+    q.set_defaults(run=normalize)
 
     p = sub.add_parser("chow", parents=[common], help="surface class relations")
-    p.add_argument(
-        "--surface",
-        required=True,
-        choices=sorted(chow.SURFACES),
-    )
+    p.add_argument("--surface", required=True, choices=sorted(chow.SURFACES))
+    p.set_defaults(run=lambda a: ("chow", chow_payload(a.surface)))
 
-    sub.add_parser("scroll-ideal", parents=[common], help="minors cutting out the quartic scroll")
+    p = sub.add_parser("scroll-ideal", parents=[common], help="minors cutting out the quartic scroll")
+    p.set_defaults(run=lambda a: ("scroll-ideal", scroll_ideal_payload()))
 
     return parser
 
 
-def dispatch(args: argparse.Namespace) -> tuple[str, dict]:
-    if args.command == "admissible":
-        if args.max < 1:
-            raise ValueError("--max must be a positive integer")
-        if args.max > admissibility.MAX_D:
-            raise ValueError(f"--max must be at most {admissibility.MAX_D}")
-        if args.verbose and args.max > admissibility.MAX_VERBOSE_D:
-            raise ValueError(f"--max must be at most {admissibility.MAX_VERBOSE_D} with --verbose")
-        return "admissible", admissible_payload(args.max, args.verbose)
-    if args.command == "lattice":
-        return "lattice info", lattice_info_payload(resolve_lattice(args.source))
-    if args.command == "mukai":
-        if args.mukai_command == "verify":
-            L = resolve_lattice(args.lattice)
-            return "mukai verify", mukai_verify_payload(L, args.v, args.vp, args.w, args.d)
-        if args.mukai_command == "search":
-            if args.bound > mukai.MAX_BOUND:
-                raise ValueError(f"--bound must be at most {mukai.MAX_BOUND}")
-            L = resolve_lattice(args.lattice)
-            return "mukai search", mukai_search_payload(L, args.d, args.bound)
-        if args.mukai_command == "gram-lambda":
-            return "mukai gram-lambda", mukai_gram_lambda_payload()
-        if args.mukai_command == "normalize":
-            L = resolve_lattice(args.lattice)
-            return "mukai normalize", mukai_normalize_payload(L, args.v, args.vp)
-    if args.command == "chow":
-        return "chow", chow_payload(args.surface)
-    if args.command == "scroll-ideal":
-        return "scroll-ideal", scroll_ideal_payload()
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else USAGE_ERROR
-    try:
-        command, payload = dispatch(args)
-        emit(command, payload, args.json)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:
+            # argparse printed help (0) or a usage error (2)
+            code = e.code if isinstance(e.code, int) else USAGE_ERROR
+        else:
+            emit(*args.run(args), args.json)
+            code = 0
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so the
@@ -382,7 +377,7 @@ def main(argv=None) -> int:
     except (ValueError, CubiclatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DOMAIN_ERROR
-    return 0
+    return code
 
 
 if __name__ == "__main__":

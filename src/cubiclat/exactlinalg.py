@@ -30,6 +30,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _require_ints(values: Iterable) -> None:
+    """Raise TypeError unless every value is an int; a bool is refused."""
+    for e in values:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise TypeError(f"integer entry expected, got {e!r}")
+
+
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
@@ -66,9 +73,7 @@ class IntMatrix:
         elif ncols is None:
             ncols = 0
         for r in rows:
-            for e in r:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"integer entry expected, got {e!r}")
+            _require_ints(r)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)

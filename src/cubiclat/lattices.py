@@ -25,6 +25,7 @@ from typing import Sequence
 from .errors import DegenerateGramError, LatticeFormatError
 from .exactlinalg import (
     IntMatrix,
+    _require_ints,
     coord_key,
     determinant,
     dot,
@@ -69,6 +70,7 @@ class LatticeVec:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
+        _require_ints(self.coords)
         if len(self.coords) != self.lattice.rank:
             raise ValueError("coordinate length must equal lattice rank")
 
@@ -176,10 +178,7 @@ def _coerce_coords(L: Lattice, x) -> tuple[int, ...]:
         if x.lattice != L:
             raise ValueError("vector does not belong to this lattice")
         return x.coords
-    coords = tuple(int(a) for a in x)
-    if len(coords) != L.rank:
-        raise ValueError("coordinate length must equal lattice rank")
-    return coords
+    return LatticeVec(L, x).coords
 
 
 def inner_product(L: Lattice, x, y) -> int:

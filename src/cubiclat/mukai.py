@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateGramError, ParityError
-from .exactlinalg import IntMatrix, coord_key, dot, ldlt_signature
+from .exactlinalg import IntMatrix, _require_ints, coord_key, dot, ldlt_signature
 from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
     Lattice,
@@ -54,6 +54,7 @@ class IsotropicTriple:
     def __post_init__(self):
         if not (self.v.lattice == self.vprime.lattice == self.w.lattice):
             raise ValueError("triple vectors must share one lattice")
+        _require_ints((self.d,))
         if self.d < 1:
             raise ValueError("d must be a positive integer")
 

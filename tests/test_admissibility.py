@@ -6,6 +6,8 @@ The range functions read the library's witness table; they are compared
 with the per-d trial division.
 """
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,13 @@ from cubiclat.admissibility import (
     genus_of_discriminant,
     satisfies_star,
     satisfies_star_star,
+)
+from cubiclat.lattices import (
+    discriminant_group,
+    hyperplane_square,
+    inner_product,
+    middle_lattice,
+    orthogonal_complement,
 )
 
 FIRST_ADMISSIBLE = [14, 26, 38, 42, 62, 74, 78]
@@ -161,3 +170,59 @@ def test_runtime_of_enumeration():
     t0 = time.monotonic()
     enumerate_admissible(80)
     assert time.monotonic() - t0 < 1.0
+
+
+def four_squares(n):
+    """Some (k1, k2, k3, k4) with k1^2 + k2^2 + k3^2 + k4^2 = n (Lagrange)."""
+    for k1 in range(math.isqrt(n) + 1):
+        for k2 in range(math.isqrt(n - k1 * k1) + 1):
+            for k3 in range(math.isqrt(n - k1 * k1 - k2 * k2) + 1):
+                rest = n - k1 * k1 - k2 * k2 - k3 * k3
+                if math.isqrt(rest) ** 2 == rest:
+                    return k1, k2, k3, math.isqrt(rest)
+
+
+def special_class(d):
+    """T in I(21,2) with K_d = <h^2, T> primitive and 3 T^2 - (T.h^2)^2 = d.
+
+    T is (1, -1, k1, -k1, ..., k4, -k4, 0, ..., 0 | 0, 0) for d = 0 mod 6
+    and (1, k1, -k1, ..., k4, -k4, 0, ..., 0 | 0, 0) for d = 2 mod 6, so
+    T.h^2 = a is 0 or 1.  T_1 = 1 and T_21 = 0, so the 2x2 minor of
+    [h^2; T] on those columns is -1 and K_d is primitive.
+    """
+    head, half = ([1, -1], (d // 3 - 2) // 2) if d % 6 == 0 else ([1], ((d + 1) // 3 - 1) // 2)
+    tail = [x for k in four_squares(half) for x in (k, -k)]
+    return tuple(head + tail + [0] * (21 - len(head) - len(tail)) + [0, 0])
+
+
+def complement_form(d, a, t):
+    """d * q(g) mod 2d for a generator g of the discriminant group of K_d^perp.
+
+    phi in Hom(K_d, Z) = Z^2 is met by x = phi_2 e_1 + (phi_1 - phi_2) e_21,
+    as T_1 = 1 and T_21 = 0; x minus its projection to K_d lies in the dual
+    of K_d^perp, with norm x^2 - phi^T G_K^-1 phi, G_K = [[3, a], [a, t]] of
+    determinant d.  When K_d^dual / K_d is cyclic of order d, phi = (0, 1)
+    (a = 1) or (1, 1) (a = 0) generates it.
+    """
+    p1, p2 = (0, 1) if a == 1 else (1, 1)
+    x_norm = p2 * p2 + (p1 - p2) ** 2
+    return (d * x_norm - (t * p1 * p1 - 2 * a * p1 * p2 + 3 * p2 * p2)) % (2 * d)
+
+
+def test_star_star_matches_the_discriminant_form_of_the_complement():
+    # (**) holds exactly when K_d^perp in I(21,2) has the discriminant form
+    # of Lambda_d(-1): cyclic of order d with q(gen) = 1/d mod 2Z
+    # (Hassett, Special cubic fourfolds, section 5; Nikulin)
+    M, h2 = middle_lattice(), hyperplane_square().coords
+    ds = [d for d in range(8, 1501) if d % 6 in (0, 2)]
+    assert len(ds) == 498
+    for d in ds:
+        T = special_class(d)
+        a, t = inner_product(M, T, h2), inner_product(M, T, T)
+        assert a in (0, 1) and 3 * t - a * a == d
+        group = discriminant_group(orthogonal_complement(M, [h2, T])[0])
+        matches = group.factors == (d,)
+        if matches:
+            dq = complement_form(d, a, t)
+            matches = any(k * k * dq % (2 * d) == 1 for k in range(1, d) if math.gcd(k, d) == 1)
+        assert matches == satisfies_star_star(d)[0], d

@@ -547,18 +547,26 @@ def test_closed_stdout_exits_1_without_traceback():
 
     src = str(pathlib.Path(cubiclat.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cubiclat", "admissible", "--max", "200000", "--json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    # (argv, bytes read before closing): the help texts fit in one write
+    cases = [
+        (["admissible", "--max", "200000", "--json"], 10),
+        (["--help"], 0),
+        (["mukai", "--help"], 0),
+    ]
+    # a buffered stdout fails at the final flush, an unbuffered one at the write
+    for argv, head in cases:
+        for unbuffered in ("", "1"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cubiclat", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+            )
+            assert len(proc.stdout.read(head)) == head
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), err) == (1, b""), (argv, unbuffered)
 
 
 def test_runtime_imports_are_stdlib_only():

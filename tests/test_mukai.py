@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cubiclat.chow import QuadraticForm6
 from cubiclat.errors import DegenerateGramError, ParityError
 from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, dot, sign_normalize
 from cubiclat.lattices import (
@@ -15,6 +16,7 @@ from cubiclat.lattices import (
     hyperbolic_plane,
     inner_product,
     odd_unimodular,
+    orthogonal_complement,
     z_lattice,
 )
 from cubiclat.mukai import (
@@ -72,6 +74,24 @@ def test_triple_carrier_validation():
         IsotropicTriple(L26.vec((1, 0, 0)), L42.vec((1, 0, 0)), L26.vec((0, 1, 0)), 26)
     with pytest.raises(ValueError):
         triple(L26, (1, 0, 0), (0, 1, 0), (0, 0, 1), 0)
+
+
+def test_non_integer_coordinates_are_type_errors():
+    # each of these used to be read as some other integer vector, or kept as a float
+    bad = [
+        lambda: orthogonal_complement(L26, [(0.5, 0, 0)]),
+        lambda: inner_product(L26, (1.5, 0, 0), (1, 0, 0)),
+        lambda: inner_product(L26, "120", (1, 0, 0)),
+        lambda: inner_product(L26, (True, 0, 0), (1, 0, 0)),
+        lambda: verify_triple(L26, triple(L26, (1, 3, 1), (1, 0, 0), (11.0, 22, 7), 26)),
+        lambda: triple(L26, (1, 3, 1), (1, 0, 0), (11, 22, 7), 26.0),
+        lambda: triple(L26, (1, 3, 1), (1, 0, 0), (11, 22, 7), True),
+        lambda: QuadraticForm6({(0, 0): True}),
+    ]
+    for call in bad:
+        with pytest.raises(TypeError):
+            call()
+    assert inner_product(L26, (1, 0, 0), (1, 0, 0)) == -2
 
 
 # ---------------------------------------------------------------------------
