@@ -84,11 +84,6 @@ class Chow3Class:
         q = Fraction(q)
         return Chow3Class({sym: q * c for sym, c in self.coeffs.items()})
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Chow3Class):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs.items()))
 

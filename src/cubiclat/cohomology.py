@@ -26,9 +26,9 @@ of the whole module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 #: top self-intersection of the hyperplane class: the degree of a cubic
 DEGREE = 3
@@ -37,28 +37,18 @@ DEGREE = 3
 TOP = 4
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CohClass:
     """Polynomial in h with exact rational coefficients, truncated at h^4."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Sequence):
-        cs = tuple(Fraction(c) for c in coeffs)
+    def __post_init__(self):
+        cs = tuple(Fraction(c) for c in self.coeffs)
         if len(cs) > TOP + 1:
             raise ValueError("at most five coefficients (degrees 0..4)")
         cs = cs + (Fraction(0),) * (TOP + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohClass is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CohClass):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         terms = []

@@ -12,6 +12,7 @@ Bareiss elimination, and the signature by symmetric Bareiss elimination.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -56,13 +57,17 @@ def coord_key(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return (sum(abs(a) for a in v), tuple(v))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    rows: tuple[tuple[int, ...], ...]
+    ncols: int | None = None
+    nrows: int = field(init=False)
 
-    def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(r) for r in self.rows)
+        ncols = self.ncols
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -77,9 +82,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -97,16 +99,6 @@ class IntMatrix:
             i0 += b.nrows
             j0 += b.ncols
         return cls(out, ncols=m)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"

@@ -96,10 +96,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for a in self.factors:
-            out *= a
-        return out
+        return math.prod(self.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -538,10 +535,17 @@ _NAMED = {
     "l42": lambda: kuznetsov_rank3_lattice(42),
 }
 
+
+def _catalog_odd_unimodular(p: int, q: int) -> Lattice:
+    if p + q > MAX_RANK:
+        raise ValueError(f"I(p,q) requires p + q <= {MAX_RANK}")
+    return odd_unimodular(p, q)
+
+
 #: parameterized catalog names; the integer groups are the constructor's arguments
 _PATTERNS = (
     (re.compile(r"^Z\((-?\d+)\)$"), z_lattice),
-    (re.compile(r"^I\((\d+),(\d+)\)$"), odd_unimodular),
+    (re.compile(r"^I\((\d+),(\d+)\)$"), _catalog_odd_unimodular),
     (re.compile(r"^Lambda_(\d+)$", re.IGNORECASE), k3_polarized_primitive),
 )
 
@@ -551,8 +555,8 @@ def lattice_by_name(name: str) -> Lattice:
 
     Knows ``E8``, ``U``, ``A2``, ``Gamma``, ``K3``, ``Mukai``, ``I21_2``,
     ``L26`` and ``L42`` in any case, plus ``Z(n)`` for nonzero n,
-    ``I(p,q)`` for p, q >= 0 not both zero, and ``Lambda_<d>`` for d >= 1.
-    Anything else raises ``ValueError``.
+    ``I(p,q)`` for p, q >= 0 not both zero with p + q <= ``MAX_RANK``,
+    and ``Lambda_<d>`` for d >= 1.  Anything else raises ``ValueError``.
     """
     key = name.strip()
     build = _NAMED.get(key.lower())
@@ -579,11 +583,11 @@ def lattice_by_name(name: str) -> Lattice:
 #: limit the interpreter can set, so this check fires first under any setting
 MAX_INT_DIGITS = 640
 
-#: largest rank a file may declare or hold.  It does not bound the cost of
-#: the Smith elimination behind ``discriminant_group``: on dense Grams with
-#: entries in [-4, 4] it took 0.01 s at rank 32 and 0.04 s to more than
-#: 400 s at rank 40, and with 20-digit entries 1.1 s at rank 24 and more
-#: than 150 s at rank 32
+#: largest rank a file may declare or hold, and the largest p + q of a
+#: catalog ``I(p,q)``.  It does not bound the cost of the Smith elimination
+#: behind ``discriminant_group``: on dense Grams with entries in [-4, 4] it
+#: took 0.01 s at rank 32 and 0.04 s to more than 400 s at rank 40, and
+#: with 20-digit entries 1.1 s at rank 24 and more than 150 s at rank 32
 MAX_RANK = 40
 
 
@@ -638,12 +642,23 @@ def lattice_from_json(text: str) -> Lattice:
         raise LatticeFormatError(str(e)) from e
 
 
+#: longest lattice file read, in characters: over twice the longest that
+#: ``lattice_to_json`` writes, whose entries take at most MAX_INT_DIGITS + 3
+#: characters with sign and separator, plus one entry's worth per row
+_MAX_FILE_CHARS = 2 * MAX_RANK * (MAX_RANK + 1) * (MAX_INT_DIGITS + 3)
+
+
 def load_lattice(path: str) -> Lattice:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # in chunks: one read of the whole ceiling would allocate it all
+            text = ""
+            while len(text) <= _MAX_FILE_CHARS and (chunk := fh.read(8192)):
+                text += chunk
     except (OSError, UnicodeDecodeError) as e:
         raise LatticeFormatError(f"cannot read lattice file: {e}") from e
+    if len(text) > _MAX_FILE_CHARS:
+        raise LatticeFormatError(f"a lattice file may have at most {_MAX_FILE_CHARS} characters")
     return lattice_from_json(text)
 
 

@@ -15,6 +15,7 @@ import sympy
 from cubiclat.chow import (
     ELL,
     H3,
+    HR,
     PLANE,
     QUARTIC_SCROLL,
     SEPTIC_SCROLL,
@@ -177,6 +178,15 @@ def random_spec(rng) -> SurfaceSpec:
         ruling=rng.choice(basis),
         ruling_proportional=rng.random() < 0.5,
     )
+
+
+def test_chow3_equality_ignores_zero_coefficients_and_key_order():
+    a = Chow3Class({HR: 0, H3: Fraction(1, 3), ELL: 2})
+    b = Chow3Class({ELL: Fraction(2), H3: Fraction(1, 3)})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Chow3Class({H3: Fraction(1, 3)})
+    assert (Chow3Class({}) == 0) is False
 
 
 def test_closed_forms_match_generic_reduction():

@@ -8,6 +8,7 @@ from the library.
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -195,6 +196,11 @@ def test_lattice_info_parse_error_exit_3(capsys, tmp_path):
             lambda p: p.write_bytes(b'{"rank": 1, "gram": [[1]], "label": "\xff"}'), id="not-utf8"
         ),
         pytest.param(lambda p: p.mkdir(), id="directory"),
+        pytest.param(
+            lambda p: p.symlink_to("/dev/zero"),
+            id="endless",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero"),
+        ),
     ],
 )
 def test_lattice_info_unreadable_file_exit_3(capsys, tmp_path, make):
@@ -237,6 +243,7 @@ def test_lattice_info_unknown_name_exit_3(capsys):
         ("Z(0)", "Z(n) requires nonzero n"),
         ("I(0,0)", "I(0,0) is empty"),
         ("Lambda_0", "degree d must be positive"),
+        ("I(41,0)", "p + q <= 40"),
     ],
 )
 def test_lattice_info_rejected_catalog_argument_gives_reason(capsys, name, reason):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubiclat.cohomology import CohClass
 from cubiclat.errors import DegenerateGramError
 from cubiclat.exactlinalg import (
     IntMatrix,
@@ -520,3 +521,46 @@ def test_sign_normalize():
     assert sign_normalize((0, -2, 1)) == (0, 2, -1)
     assert sign_normalize((0, 0)) == (0, 0)
     assert sign_normalize((3, -1)) == (3, -1)
+
+
+@pytest.mark.parametrize(
+    "make, same, field, text",
+    [
+        pytest.param(
+            lambda: IntMatrix([[1, 2], [2, 1]]),
+            lambda: IntMatrix(((1, 2), (2, 1)), ncols=2),
+            "rows",
+            "IntMatrix([[1, 2], [2, 1]])",
+            id="IntMatrix",
+        ),
+        pytest.param(
+            lambda: IntMatrix([[1]]),
+            lambda: IntMatrix([(1,)], ncols=1),
+            "rows",
+            "IntMatrix([[1]])",
+            id="IntMatrix-1x1",
+        ),
+        pytest.param(
+            lambda: CohClass([1, 2]),
+            lambda: CohClass([Fraction(1), 2, 0, 0, 0]),
+            "coeffs",
+            "1 + 2 h",
+            id="CohClass",
+        ),
+        pytest.param(
+            lambda: CohClass([1]),
+            lambda: CohClass([1, 0, 0, 0, 0]),
+            "coeffs",
+            "1",
+            id="CohClass-padded",
+        ),
+    ],
+)
+def test_value_types_compare_hash_and_refuse_assignment(make, same, field, text):
+    a, b = make(), same()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert (a == 0) is False and a != 0
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    assert repr(a) == text

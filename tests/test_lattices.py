@@ -32,6 +32,7 @@ from cubiclat.lattices import (
     lattice_by_name,
     lattice_from_json,
     lattice_to_json,
+    load_lattice,
     middle_lattice,
     mukai_lattice,
     odd_unimodular,
@@ -577,6 +578,13 @@ def test_lattice_by_name():
         lattice_by_name("nonsense")
 
 
+def test_lattice_equality_ignores_label():
+    a = Lattice(2, IntMatrix([[0, 1], [1, 0]]), label="U")
+    b = Lattice(2, IntMatrix([[0, 1], [1, 0]]))
+    assert a == b and hash(a) == hash(b)
+    assert a != Lattice(2, IntMatrix([[0, 1], [1, 2]]), label="U")
+
+
 def test_file_roundtrip_is_bit_exact():
     for L in (a2(), cubic_lattice(), kuznetsov_rank3_lattice(26)):
         text = lattice_to_json(L)
@@ -671,3 +679,38 @@ def test_file_rank_ceiling_fires_before_any_matrix_is_built(monkeypatch):
             lattice_from_json(text)
     with pytest.raises(Built):
         lattice_from_json(doc(MAX_RANK, identity))
+
+
+def test_catalog_rank_ceiling_fires_before_any_matrix_is_built(monkeypatch):
+    from cubiclat import lattices
+    from cubiclat.lattices import MAX_RANK
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    assert lattice_by_name(f"I({MAX_RANK},0)").rank == MAX_RANK
+    assert odd_unimodular(MAX_RANK + 1, 0).rank == MAX_RANK + 1
+    monkeypatch.setattr(lattices, "IntMatrix", refuse)
+    for name in (f"I({MAX_RANK + 1},0)", f"I(0,{MAX_RANK + 1})", f"I({MAX_RANK},1)", "I(100000,0)"):
+        with pytest.raises(ValueError, match=f"p \\+ q <= {MAX_RANK}"):
+            lattice_by_name(name)
+    with pytest.raises(Built):
+        lattice_by_name(f"I({MAX_RANK},0)")
+
+
+def test_file_length_ceiling_fires_before_parsing(tmp_path):
+    from cubiclat.lattices import _MAX_FILE_CHARS, MAX_INT_DIGITS, MAX_RANK
+
+    entry = -(10**MAX_INT_DIGITS - 1)
+    longest = Lattice(MAX_RANK, IntMatrix([[entry] * MAX_RANK for _ in range(MAX_RANK)]))
+    assert 2 * len(lattice_to_json(longest)) <= _MAX_FILE_CHARS
+    path = tmp_path / "spaces.json"
+    path.write_text(" " * _MAX_FILE_CHARS)
+    with pytest.raises(LatticeFormatError, match="invalid JSON at line 1"):
+        load_lattice(str(path))
+    path.write_text(" " * (_MAX_FILE_CHARS + 1))
+    with pytest.raises(LatticeFormatError, match=f"at most {_MAX_FILE_CHARS} characters"):
+        load_lattice(str(path))
