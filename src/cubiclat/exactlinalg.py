@@ -298,13 +298,7 @@ def saturate_rows(M: IntMatrix) -> list[tuple[int, ...]]:
     The saturation is the set of integer vectors lying in the rational row
     span; it is computed as the kernel of the kernel.
     """
-    ker = kernel_basis(M)
-    if not ker:
-        return [
-            tuple(1 if i == j else 0 for j in range(M.ncols))
-            for i in range(M.ncols)
-        ]
-    return kernel_basis(IntMatrix(ker, ncols=M.ncols))
+    return kernel_basis(IntMatrix(kernel_basis(M), ncols=M.ncols))
 
 
 def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:

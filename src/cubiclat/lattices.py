@@ -281,31 +281,29 @@ def _quadratic_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
 def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, ...]]:
     """Every integer x with x^T G x + l.x = value and |x_i| <= bound.
 
-    ``gram`` is a symmetric IntMatrix G of rank 1 to 3, or 0 for the
-    zero form; ``linear`` is the coefficient vector l, or 0 for the zero
-    vector.  The result is in lexicographic order.
+    ``gram`` is the symmetric G as a sequence of n rows and ``linear`` the
+    coefficient vector l of length n, for n from 1 to 3.  The result is in
+    lexicographic order.
     """
-    n = len(linear) if gram == 0 else gram.nrows
-    if not 1 <= n <= 3:
+    n = len(linear)
+    if not 1 <= n <= 3 or len(gram) != n:
         raise ValueError("integer_solutions supports ranks 1 to 3")
-    g = ((0,) * n,) * n if gram == 0 else gram.rows
-    lin = [0] * n if linear == 0 else linear
     lo, hi, m = -bound, bound, n - 1
-    a = g[m][m]
+    a = gram[m][m]
     if m == 0:
-        return [(y,) for y in _quadratic_roots(a, lin[0], -value, lo, hi)]
+        return [(y,) for y in _quadratic_roots(a, linear[0], -value, lo, hi)]
     box = range(lo, hi + 1)
     # (leading coordinates, form minus value on them, linear part given them);
     # the second-to-last coordinate is looped inline, which keeps it cheap
-    states = [((), -value, lin)]
+    states = [((), -value, linear)]
     for k in range(m - 1):
-        row = g[k]
+        row = gram[k]
         states = [
             (p + (x,), c + (row[k] * x + t[k]) * x, [tj + 2 * gj * x for tj, gj in zip(t, row)])
             for p, c, t in states
             for x in box
         ]
-    row = g[m - 1]
+    row = gram[m - 1]
     d, e = row[m - 1], 2 * row[m]
     out = []
     for p, c, t in states:
@@ -327,7 +325,7 @@ def vectors_with_norm(
     """
     found = {
         sign_normalize(x) if canonical else x
-        for x in integer_solutions(gram, 0, value, bound)
+        for x in integer_solutions(gram.rows, (0,) * gram.nrows, value, bound)
         if any(x)
     }
     return sorted(found, key=coord_key)
@@ -366,38 +364,27 @@ def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | No
     n = g1.nrows
     cands = [vectors_with_norm(g1, g2.rows[j][j], bound, canonical=False) for j in range(n)]
     order = sorted(range(n), key=lambda j: (len(cands[j]), j))
-    columns: dict[int, tuple[int, ...]] = {}
-    images: dict[int, tuple[int, ...]] = {}
 
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        pos = order[depth]
+    def extend(placed):
+        # placed holds (column, x, g1 x) for the columns chosen so far
+        if len(placed) == n:
+            return placed
+        pos = order[len(placed)]
         for x in cands[pos]:
             # a global sign flip is always an isometry: pin the first column.
-            if depth == 0 and sign_normalize(x) != x:
+            if not placed and sign_normalize(x) != x:
                 continue
-            ok = True
-            for prev, gprev in images.items():
-                if dot(gprev, x) != g2.rows[prev][pos]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            columns[pos] = x
-            images[pos] = g1.mul_vec(x)
-            if extend(depth + 1):
-                return True
-            del columns[pos]
-            del images[pos]
-        return False
-
-    if not extend(0):
+            if all(dot(gx, x) == g2.rows[j][pos] for j, _, gx in placed):
+                done = extend([*placed, (pos, x, g1.mul_vec(x))])
+                if done is not None:
+                    return done
         return None
-    T = IntMatrix(
-        [[columns[j][i] for j in range(n)] for i in range(n)], ncols=n
-    )
-    return T
+
+    placed = extend([])
+    if placed is None:
+        return None
+    columns = [x for _, x, _ in sorted(placed)]
+    return IntMatrix([[x[i] for x in columns] for i in range(n)], ncols=n)
 
 
 def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
@@ -556,7 +543,9 @@ def lattice_by_name(name: str) -> Lattice:
     Knows ``E8``, ``U``, ``A2``, ``Gamma``, ``K3``, ``Mukai``, ``I21_2``,
     ``L26`` and ``L42`` in any case, plus ``Z(n)`` for nonzero n,
     ``I(p,q)`` for p, q >= 0 not both zero with p + q <= ``MAX_RANK``,
-    and ``Lambda_<d>`` for d >= 1.  Anything else raises ``ValueError``.
+    and ``Lambda_<d>`` for d >= 1.  An integer argument of more than
+    ``MAX_INT_DIGITS`` digits, sign not counted, is refused before it is
+    converted, as in a file.  Anything else raises ``ValueError``.
     """
     key = name.strip()
     build = _NAMED.get(key.lower())
@@ -565,6 +554,8 @@ def lattice_by_name(name: str) -> Lattice:
     for pattern, build in _PATTERNS:
         m = pattern.match(key)
         if m:
+            if any(len(g.lstrip("-")) > MAX_INT_DIGITS for g in m.groups()):
+                raise ValueError(f"integer with more than {MAX_INT_DIGITS} digits")
             return build(*map(int, m.groups()))
     raise ValueError(f"unknown lattice name: {name!r}")
 

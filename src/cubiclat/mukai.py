@@ -33,6 +33,7 @@ from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
     Lattice,
     LatticeVec,
+    _coerce_coords,
     basis_gram,
     inner_product,
     integer_solutions,
@@ -148,7 +149,8 @@ class TripleSearch:
 
 def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
     """Canonically smallest x in the box with <gv, x> = 1."""
-    return min(integer_solutions(0, gv, 1, bound), key=coord_key, default=None)
+    zero = [(0,) * len(gv)] * len(gv)
+    return min(integer_solutions(zero, gv, 1, bound), key=coord_key, default=None)
 
 
 def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
@@ -213,8 +215,7 @@ def hyperbolic_normalize(
     [[0,1],[1,0]] + complement.  For a rank-3 input this is
     [[0,1,0],[1,0,0],[0,0,m]] with |m| = |det L|.
     """
-    vc = LatticeVec(L, tuple(v)) if not isinstance(v, LatticeVec) else v
-    vp = LatticeVec(L, tuple(vprime)) if not isinstance(vprime, LatticeVec) else vprime
+    vc, vp = _coerce_coords(L, v), _coerce_coords(L, vprime)
     if inner_product(L, vc, vc) != 0:
         raise ValueError("v must be isotropic (v^2 = 0)")
     if inner_product(L, vc, vp) != 1:
@@ -225,7 +226,7 @@ def hyperbolic_normalize(
             "v'^2 is odd: no integral isotropic completion of the hyperbolic pair"
         )
     k = -q // 2
-    b2 = tuple(a + k * b for a, b in zip(vp.coords, vc.coords))
-    _, complement = orthogonal_complement(L, [vc.coords, b2])
-    basis_coords = [vc.coords, b2, *(c.coords for c in complement)]
+    b2 = tuple(a + k * b for a, b in zip(vp, vc))
+    _, complement = orthogonal_complement(L, [vc, b2])
+    basis_coords = [vc, b2, *(c.coords for c in complement)]
     return [LatticeVec(L, b) for b in basis_coords], basis_gram(L, basis_coords)

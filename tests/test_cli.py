@@ -244,6 +244,10 @@ def test_lattice_info_unknown_name_exit_3(capsys):
         ("I(0,0)", "I(0,0) is empty"),
         ("Lambda_0", "degree d must be positive"),
         ("I(41,0)", "p + q <= 40"),
+        pytest.param("I(" + "9" * 640 + ",0)", "p + q <= 40", id="I_640_digits"),
+        pytest.param("Lambda_" + "9" * 641, "more than 640 digits", id="Lambda_641_digits"),
+        pytest.param("I(" + "9" * 5000 + ",0)", "more than 640 digits", id="I_5000_digits"),
+        pytest.param("Z(-" + "9" * 5000 + ")", "more than 640 digits", id="Z_5000_digits"),
     ],
 )
 def test_lattice_info_rejected_catalog_argument_gives_reason(capsys, name, reason):

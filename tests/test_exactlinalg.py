@@ -202,6 +202,7 @@ def test_determinant_equals_snf_product_up_to_sign():
 
 def test_kernel_examples():
     assert kernel_basis(IntMatrix.identity(3)) == []
+    assert kernel_basis(IntMatrix([], ncols=3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert kernel_basis(IntMatrix([[1, 1]])) == [(1, -1)]
     # saturation: the kernel of [[2, 4]] is generated by the primitive (2, -1)
     assert kernel_basis(IntMatrix([[2, 4]])) == [(2, -1)]
@@ -226,7 +227,7 @@ def test_saturate_rows():
     sat = saturate_rows(IntMatrix([[2, 0]]))
     assert sat == [(1, 0)]
     sat = saturate_rows(IntMatrix([[1, 0], [0, 1]]))
-    assert len(sat) == 2
+    assert sat == [(1, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,10 @@ def box_scan(g, lin, value, bound):
 
 
 def enumeration_cases(rng):
-    """Seeded (G, l, c, bound) of rank 1-3, G and l possibly the integer 0.
+    """Seeded (kind, G, l, c, bound) of rank 1-3, G as rows and l as a vector.
 
-    Covers G = 0 with l != 0, zero diagonals, l = 0 with both signs of c,
-    and bound 0.
+    Kind 0 has G = 0 with l != 0 and kind 1 has l = 0; the cases cover
+    zero diagonals, l = 0 with both signs of c, and bound 0.
     """
     for case in range(480):
         n, kind = 1 + case % 3, case // 3 % 4
@@ -349,20 +349,19 @@ def enumeration_cases(rng):
         if kind == 0 and not any(lin):
             lin[0] = 1
         value = rng.randint(-12, 12)
-        gram = 0 if kind == 0 else IntMatrix(g)
-        yield gram, (0 if kind == 1 else tuple(lin)), g, lin, value, bound
+        yield kind, g, lin, value, bound
 
 
 def test_integer_solutions_match_box_scan():
     signs = set()
-    for gram, linear, g, lin, value, bound in enumeration_cases(random.Random(6)):
+    for kind, g, lin, value, bound in enumeration_cases(random.Random(6)):
         expected = box_scan(g, lin, value, bound)
-        assert integer_solutions(gram, linear, value, bound) == expected, (g, lin, value, bound)
-        if linear == 0 and gram != 0:
+        assert integer_solutions(g, lin, value, bound) == expected, (g, lin, value, bound)
+        if kind == 1:
             signs.add(value > 0)
-            got = vectors_with_norm(gram, value, bound, canonical=False)
+            got = vectors_with_norm(IntMatrix(g), value, bound, canonical=False)
             assert got == sorted((x for x in expected if any(x)), key=coord_key)
-        if gram == 0 and len(lin) == 3:
+        if kind == 0 and len(lin) == 3:
             best = min(box_scan(g, lin, 1, bound), key=coord_key, default=None)
             assert _min_dual_one(lin, bound) == best, (lin, bound)
     assert signs == {True, False}
@@ -370,10 +369,12 @@ def test_integer_solutions_match_box_scan():
 
 def test_integer_solutions_reject_rank_0_and_4():
     for gram, linear in (
-        (IntMatrix([]), 0),
-        (0, ()),
-        (IntMatrix.identity(4), 0),
-        (0, (1, 0, 0, 1)),
+        ([], ()),
+        (IntMatrix.identity(4).rows, (0,) * 4),
+        ([(0,) * 4] * 4, (1, 0, 0, 1)),
+        # the number of rows must equal the length of linear
+        ([(1, 0), (0, 1)], (0,)),
+        ([(1,)], (0, 0)),
     ):
         with pytest.raises(ValueError):
             integer_solutions(gram, linear, 1, 1)
@@ -563,6 +564,58 @@ def test_isometry_deterministic():
     assert r1.map == r2.map
 
 
+#: the witness of each pair of ``witness_pairs``, in order
+PINNED_WITNESSES = [
+    ((1, -1, 0), (0, 1, 0), (0, -1, -1)),
+    ((0, 1, 0), (1, 1, 0), (0, -1, 1)),
+    ((2, -5, 0), (-1, 2, 0), (0, 0, -1)),
+    ((-1, -2, 0), (0, 1, 0), (0, 1, 1)),
+    ((0, -1, 0), (-1, 0, 0), (0, 2, 1)),
+    ((0, 1, 1), (1, 0, 0), (0, 0, -1)),
+    ((0, 1, 1), (-1, 1, -1), (0, 0, 1)),
+    ((1, -1, 3), (-1, 0, -2), (0, 0, -1)),
+    ((1, 0, 0), (0, 1, 0), (0, -1, -1)),
+    ((0, 1, 0), (1, 0, 0), (0, -1, -1)),
+    ((1, 2, -1), (2, 4, -1), (0, -1, 1)),
+    ((-1, 0, 0), (2, -1, 1), (2, 0, -1)),
+    ((-1, 0, 0), (0, -1, 1), (0, 0, -1)),
+    ((0, -1, 0), (-1, 0, 0), (1, 2, 1)),
+    ((1, -2, -2), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (1, 0, 0), (-1, 0, 1)),
+    ((4, 5, -2), (1, 0, 0), (-2, -2, 1)),
+    ((0, 1, 2), (1, 0, 0), (0, 0, -1)),
+    ((1, 0, 0), (0, 1, 0), (0, 1, -1)),
+    ((0, -1, 0), (-1, 0, 0), (0, 2, 1)),
+]
+
+
+def witness_pairs():
+    """20 seeded pairs (G, Q^t G Q) of rank 3 with distinct Grams, in both orientations.
+
+    The bases are U + Z(-d), A2 + Z(n) and two positive definite Grams.
+    """
+    bases = [direct_sum([hyperbolic_plane(), z_lattice(-d)]) for d in (2, 14, 26)]
+    bases += [direct_sum([a2(), z_lattice(n)]) for n in (-3, 1, 6)]
+    bases += [
+        Lattice(3, IntMatrix(g))
+        for g in ([[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[3, 1, 1], [1, 3, 1], [1, 1, 5]])
+    ]
+    rng = random.Random(15)
+    for case in range(len(PINNED_WITNESSES)):
+        L = cong = bases[case % len(bases)]
+        while cong == L:
+            Q = random_unimodular(rng, 3, steps=rng.randint(2, 5))
+            cong = Lattice(3, Q.transpose() @ L.gram @ Q)
+        yield (L, cong) if case % 2 else (cong, L)
+
+
+def test_isometry_witnesses_are_pinned():
+    # the search order decides which witness comes first; pin it exactly
+    for (L1, L2), rows in zip(witness_pairs(), PINNED_WITNESSES):
+        res = is_isometric_small(L1, L2)
+        assert (res.status, res.map.rows) == (ISOMETRIC, rows), (L1.gram, L2.gram)
+
+
 # ---------------------------------------------------------------------------
 # catalog and file format
 
@@ -699,6 +752,26 @@ def test_catalog_rank_ceiling_fires_before_any_matrix_is_built(monkeypatch):
             lattice_by_name(name)
     with pytest.raises(Built):
         lattice_by_name(f"I({MAX_RANK},0)")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit"
+)
+def test_catalog_digit_ceiling_fires_before_int_conversion():
+    from cubiclat.lattices import MAX_INT_DIGITS
+
+    nines = "9" * MAX_INT_DIGITS
+    limit = sys.get_int_max_str_digits()
+    # at the lowest limit the interpreter allows, int() itself would refuse 641 digits
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    try:
+        assert lattice_by_name(f"Lambda_{nines}").gram.rows[-1][-1] == -int(nines)
+        assert lattice_by_name(f"Z(-{nines})").gram.rows == ((-int(nines),),)
+        for name in (f"Lambda_{nines}9", f"Z(-{nines}9)", f"I({nines}9,0)", f"I(0,{'9' * 5000})"):
+            with pytest.raises(ValueError, match=f"^integer with more than {MAX_INT_DIGITS} digits$"):
+                lattice_by_name(name)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_file_length_ceiling_fires_before_parsing(tmp_path):
