@@ -355,9 +355,6 @@ class IsometryResult:
     map: IntMatrix | None = None
     reason: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.status == ISOMETRIC
-
 
 def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | None:
     """First basis image T (canonical DFS order) with T^t g1 T = g2."""
@@ -531,9 +528,9 @@ def _catalog_odd_unimodular(p: int, q: int) -> Lattice:
 
 #: parameterized catalog names; the integer groups are the constructor's arguments
 _PATTERNS = (
-    (re.compile(r"^Z\((-?\d+)\)$"), z_lattice),
-    (re.compile(r"^I\((\d+),(\d+)\)$"), _catalog_odd_unimodular),
-    (re.compile(r"^Lambda_(\d+)$", re.IGNORECASE), k3_polarized_primitive),
+    (re.compile(r"^Z\((-?\d+)\)$", re.ASCII), z_lattice),
+    (re.compile(r"^I\((\d+),(\d+)\)$", re.ASCII), _catalog_odd_unimodular),
+    (re.compile(r"^Lambda_(\d+)$", re.ASCII | re.IGNORECASE), k3_polarized_primitive),
 )
 
 

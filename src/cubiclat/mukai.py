@@ -13,7 +13,8 @@ The interesting structure on such a lattice is a triple (v, v', w) with
 
 Such a triple exhibits the lattice as U + Z(-d): v, v' span a hyperbolic
 plane and w generates the complement.  This module verifies triples,
-searches coordinate boxes for them, and performs the normalization.
+rules them out by a certificate or searches coordinate boxes for them,
+and performs the normalization.
 
 Search output is canonical: vectors are enumerated by L1 norm and then
 lexicographically, and sign-symmetric candidates (v and w) are
@@ -28,13 +29,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateGramError, ParityError
-from .exactlinalg import IntMatrix, _require_ints, coord_key, dot, ldlt_signature
+from .exactlinalg import IntMatrix, _require_ints, coord_key, determinant, dot, ldlt_signature
 from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
     Lattice,
     LatticeVec,
     _coerce_coords,
     basis_gram,
+    discriminant_group,
     inner_product,
     integer_solutions,
     orthogonal_complement,
@@ -124,9 +126,12 @@ def verify_triple(L: Lattice, triple: IsotropicTriple) -> TripleCheck:
 FOUND = "found"
 IMPOSSIBLE = "impossible"
 
-#: largest ``--bound`` the command line accepts; a search that finds
-#: nothing costs about bound^3: 0.25 s at 60, 2.2 s at 120 and 10 s at
-#: 200 for d = 27 on L26 (Python 3.11, 2 vCPUs)
+#: largest ``--bound`` the command line accepts.  A search that fails the
+#: certificate returns at once at any bound (0.03 ms for d = 27 on L26);
+#: one that passes it lists the box's vectors of norm 0 and -d, about
+#: bound^2 work.  At 200 that took 0.41 s to find the L26 triple for
+#: d = 26, 0.26 s to find none for d = 26 * 300^2, and at most 1 s on
+#: twelve conjugates of U + Z(-e) (Python 3.11, 2 vCPUs)
 MAX_BOUND = 200
 
 
@@ -134,17 +139,16 @@ MAX_BOUND = 200
 class TripleSearch:
     """Search outcome: found / not found within bound / impossible.
 
-    ``impossible`` means a structural obstruction was detected (a
-    definite lattice has no nonzero isotropic vector at all), as opposed
-    to the inconclusive exhaustion of a finite search box.
+    ``impossible`` means that no triple exists in the whole lattice, and
+    ``reason`` says why: the lattice is definite, or it fails one of the
+    three conditions of the certificate in ``find_isotropic_triple``.
+    ``not_found_within_bound`` is the inconclusive exhaustion of a
+    finite search box.
     """
 
     status: str
     triple: IsotropicTriple | None = None
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.status == FOUND
 
 
 def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
@@ -156,13 +160,21 @@ def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
 def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
     """Exhaustive box search for a triple (v, v', w) as above.
 
-    Candidates for v are the primitive isotropic vectors with all
-    coordinates bounded by ``bound``, taken in canonical order; for each
-    the minimal completing v' is sought in the same box, and w is the
-    first vector of norm -d in the box (listed once per search) that is
-    orthogonal to v.  The first fully completed candidate wins.  A
-    definite lattice is reported as structurally impossible rather than
-    merely unsearched.
+    A triple exists only if three conditions hold, whatever the box:
+    v and v' span a unimodular plane H, so L = H + Z g with
+    g^2 = -det L, and w orthogonal to v is a v + b g with
+    d = -w^2 = b^2 det L.  Hence det L > 0, d / det L is a perfect
+    square and the discriminant group of L (that of Z g) is cyclic.
+    A definite lattice, or one that fails a condition, is reported as
+    ``impossible`` with the reason before any box is scanned.
+
+    Otherwise candidates for v are the primitive isotropic vectors with
+    all coordinates bounded by ``bound``, taken in canonical order; w is
+    the first vector of norm -d in the box (listed once per search) that
+    is orthogonal to v, and for a v with such a w the minimal completing
+    v' is sought in the same box.  The first fully completed candidate
+    wins.  A found triple is checked against its four conditions before
+    it is returned.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")
@@ -177,6 +189,18 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
         return TripleSearch(
             IMPOSSIBLE, reason="definite lattice has no nonzero isotropic vector"
         )
+    det = determinant(L.gram)
+    if det <= 0:
+        return TripleSearch(IMPOSSIBLE, reason=f"det L = {det} is not positive")
+    if d % det != 0 or math.isqrt(d // det) ** 2 != d // det:
+        return TripleSearch(
+            IMPOSSIBLE, reason=f"d / det L = {d}/{det} is not a perfect square"
+        )
+    group = discriminant_group(L)
+    if len(group.factors) > 1:
+        return TripleSearch(
+            IMPOSSIBLE, reason=f"discriminant group {group} is not cyclic"
+        )
 
     ws = None
     for v in vectors_with_norm(L.gram, 0, bound, canonical=True):
@@ -186,17 +210,20 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
         # by Bezout some v' has <gv, v'> = 1 exactly when gcd(gv) = 1
         if math.gcd(*gv) != 1:
             continue
-        vprime = _min_dual_one(gv, bound)
-        if vprime is None:
-            continue
+        # w before v': ws is listed once per search, while each v' scans the box
         if ws is None:
             ws = vectors_with_norm(L.gram, -d, bound, canonical=True)
         w = next((x for x in ws if dot(gv, x) == 0), None)
         if w is None:
             continue
+        vprime = _min_dual_one(gv, bound)
+        if vprime is None:
+            continue
         triple = IsotropicTriple(
             v=LatticeVec(L, v), vprime=LatticeVec(L, vprime), w=LatticeVec(L, w), d=d
         )
+        if not verify_triple(L, triple).all_ok:
+            raise RuntimeError(f"internal error: invalid triple {v}, {vprime}, {w}")
         return TripleSearch(FOUND, triple=triple)
     return TripleSearch(NOT_FOUND_WITHIN_BOUND)
 

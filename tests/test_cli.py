@@ -256,6 +256,21 @@ def test_lattice_info_rejected_catalog_argument_gives_reason(capsys, name, reaso
     assert err.startswith("error: ") and reason in err
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param("Z(\u0663)", id="Z_arabic_indic_3"),
+        pytest.param("I(\u0662,1)", id="I_arabic_indic_2"),
+        pytest.param("Lambda_\uff12\uff16", id="Lambda_fullwidth_26"),
+    ],
+)
+def test_lattice_info_catalog_takes_ascii_digits_only(capsys, name):
+    # a lattice file accepts ASCII digits only, and so does a catalog name
+    code, out, err = run(capsys, "lattice", "info", name, "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: unknown lattice name")
+
+
 def test_lattice_info_degenerate_exit_4(capsys, tmp_path):
     path = tmp_path / "deg.json"
     path.write_text('{"rank": 2, "gram": [[1, 1], [1, 1]]}')

@@ -3,9 +3,11 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
+from cubiclat import mukai
 from cubiclat.chow import QuadraticForm6
 from cubiclat.errors import DegenerateGramError, ParityError
 from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, dot, sign_normalize
@@ -22,6 +24,7 @@ from cubiclat.lattices import (
 from cubiclat.mukai import (
     FOUND,
     IMPOSSIBLE,
+    MAX_BOUND,
     NOT_FOUND_WITHIN_BOUND,
     IsotropicTriple,
     find_isotropic_triple,
@@ -140,11 +143,54 @@ def test_find_definite_is_impossible():
 
 
 def test_find_unreachable_norm_is_not_found():
-    # all norms in U + Z(-26) are even, so w^2 = -3 has no solution
+    # all norms in U + Z(-26) are even, so w^2 = -3 has no solution, and
+    # the certificate says so before any box is scanned
     U26 = direct_sum([hyperbolic_plane(), z_lattice(-26)])
     res = find_isotropic_triple(U26, 3, 4)
-    assert res.status == NOT_FOUND_WITHIN_BOUND
+    assert res.status == IMPOSSIBLE
+    assert res.reason == "d / det L = 3/26 is not a perfect square"
     assert res.triple is None
+
+
+def test_find_passing_certificate_outside_box_is_not_found():
+    # d = 26 * 2^2 passes the certificate; its w = (0, 0, 2) lies outside bound 1
+    U26 = direct_sum([hyperbolic_plane(), z_lattice(-26)])
+    res = find_isotropic_triple(U26, 104, 1)
+    assert res.status == NOT_FOUND_WITHIN_BOUND
+    assert res.reason is None and res.triple is None
+    assert find_isotropic_triple(U26, 104, 2).triple.w.coords == (0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "gram, d, reason",
+    [
+        pytest.param(odd_unimodular(2, 1).gram, 1, "det L = -1 is not positive", id="det"),
+        pytest.param(L26.gram, 27, "d / det L = 27/26 is not a perfect square", id="square"),
+        pytest.param(
+            IntMatrix([[0, 2, 0], [2, 0, 0], [0, 0, -2]]),
+            8,
+            "discriminant group Z/2 x Z/2 x Z/2 is not cyclic",
+            id="cyclic",
+        ),
+    ],
+)
+def test_find_certificate_reasons(gram, d, reason):
+    res = find_isotropic_triple(Lattice(3, gram), d, 5)
+    assert (res.status, res.reason, res.triple) == (IMPOSSIBLE, reason, None)
+
+
+def test_find_certificate_is_instant_at_max_bound():
+    start = time.perf_counter()
+    res = find_isotropic_triple(L26, 27, MAX_BOUND)
+    assert time.perf_counter() - start < 0.05
+    assert res.status == IMPOSSIBLE
+
+
+def test_find_checks_the_triple_before_returning_it(monkeypatch):
+    # a v' that pairs to 2 with v must not come back as a found triple
+    monkeypatch.setattr(mukai, "_min_dual_one", lambda gv, bound: (2, 2, 0))
+    with pytest.raises(RuntimeError, match="invalid triple"):
+        find_isotropic_triple(L26, 26, 25)
 
 
 def test_find_rejects_bad_input():
@@ -211,7 +257,7 @@ def differential_cases():
 
 
 def test_search_matches_box_scan_reference():
-    found = 0
+    found = impossible = 0
     for gram, d, bound in differential_cases():
         L = Lattice(3, gram)
         res = find_isotropic_triple(L, d, bound)
@@ -220,7 +266,11 @@ def test_search_matches_box_scan_reference():
         )
         assert got == box_scan_triple(L, d, bound), (gram, d, bound)
         found += got is not None
+        impossible += res.status == IMPOSSIBLE
     assert found >= 50
+    # 157 of the 240 are impossible, 155 of them by the certificate; the
+    # reference scan above agrees that each of their boxes holds no triple
+    assert impossible >= 150
 
 
 # ---------------------------------------------------------------------------
