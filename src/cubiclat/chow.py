@@ -87,9 +87,6 @@ class Chow3Class:
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs.items()))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def get(self, sym: str) -> Fraction:
         return self.coeffs.get(sym, Fraction(0))
 
@@ -208,9 +205,6 @@ class PushforwardRelation:
 
     lhs: Chow3Class
     rhs: Chow3Class
-
-    def as_zero(self) -> Chow3Class:
-        return self.lhs - self.rhs
 
     def text(self) -> str:
         lhs, rhs = self.lhs, self.rhs

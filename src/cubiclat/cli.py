@@ -13,7 +13,8 @@ Gram, failed precondition, a result too long to print, ``admissible
 --max`` above ``admissibility.MAX_D``, ``admissible --verbose --max``
 above ``admissibility.MAX_VERBOSE_D`` or ``mukai search --bound`` above
 ``mukai.MAX_BOUND``; a value over a ceiling is rejected before any work
-starts).  Diagnostics go to stderr, payloads to stdout.
+starts), 5 internal error (a bug: the traceback goes to stderr and
+nothing to stdout).  Diagnostics go to stderr, payloads to stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 from . import admissibility, chow, cohomology, mukai
 from .errors import CubiclatError, LatticeFormatError
@@ -38,6 +40,7 @@ CLOSED_STDOUT = 1
 USAGE_ERROR = 2
 PARSE_ERROR = 3
 DOMAIN_ERROR = 4
+INTERNAL_ERROR = 5
 
 
 def resolve_lattice(source: str) -> Lattice:
@@ -377,6 +380,9 @@ def main(argv=None) -> int:
     except (ValueError, CubiclatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DOMAIN_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
     return code
 
 

@@ -434,6 +434,9 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
         b = min(b, top)
         T = _search_isometry(L1.gram, L2.gram, b)
         if T is not None:
+            # with det G1 = det G2 != 0 this also forces det T = +-1
+            if T.transpose() @ L1.gram @ T != L2.gram:
+                raise RuntimeError(f"internal error: {T} is not an isometry")
             return IsometryResult(ISOMETRIC, map=T)
         if radius is not None and b >= radius:
             return IsometryResult(NOT_ISOMETRIC, reason="exhaustive")

@@ -11,10 +11,10 @@ The interesting structure on such a lattice is a triple (v, v', w) with
 
     v^2 = 0,   v.v' = 1,   v.w = 0,   w^2 = -d.
 
-Such a triple exhibits the lattice as U + Z(-d): v, v' span a hyperbolic
-plane and w generates the complement.  This module verifies triples,
-rules them out by a certificate or searches coordinate boxes for them,
-and performs the normalization.
+Then L = H + Z g, where H = <v, v'> is unimodular and g^2 = -det L, and
+w = a v +- k g with d = k^2 det L: w spans the complement of H only when
+d = det L, and H is U only when v'^2 is even.  This module verifies,
+rules out (by a certificate), searches for and normalizes triples.
 
 Search output is canonical: vectors are enumerated by L1 norm and then
 lexicographically, and sign-symmetric candidates (v and w) are
@@ -37,7 +37,6 @@ from .lattices import (
     _coerce_coords,
     basis_gram,
     discriminant_group,
-    inner_product,
     integer_solutions,
     orthogonal_complement,
     vectors_with_norm,
@@ -77,36 +76,19 @@ class TripleCheck:
     d: int
 
     @property
-    def v_isotropic(self) -> bool:
-        return self.v_norm == 0
-
-    @property
-    def pairing_ok(self) -> bool:
-        return self.v_dot_vprime == 1
-
-    @property
-    def orthogonal_ok(self) -> bool:
-        return self.v_dot_w == 0
-
-    @property
-    def w_norm_ok(self) -> bool:
-        return self.w_norm == -self.d
-
-    @property
     def all_ok(self) -> bool:
-        return (
-            self.v_isotropic
-            and self.pairing_ok
-            and self.orthogonal_ok
-            and self.w_norm_ok
-        )
+        return all(c["ok"] for c in self.conditions().values())
 
     def conditions(self) -> dict[str, dict]:
+        table = (
+            ("v.v", self.v_norm, 0),
+            ("v.v'", self.v_dot_vprime, 1),
+            ("v.w", self.v_dot_w, 0),
+            ("w.w", self.w_norm, -self.d),
+        )
         return {
-            "v.v": {"value": self.v_norm, "expected": 0, "ok": self.v_isotropic},
-            "v.v'": {"value": self.v_dot_vprime, "expected": 1, "ok": self.pairing_ok},
-            "v.w": {"value": self.v_dot_w, "expected": 0, "ok": self.orthogonal_ok},
-            "w.w": {"value": self.w_norm, "expected": -self.d, "ok": self.w_norm_ok},
+            name: {"value": value, "expected": expected, "ok": value == expected}
+            for name, value, expected in table
         }
 
 
@@ -114,13 +96,10 @@ def verify_triple(L: Lattice, triple: IsotropicTriple) -> TripleCheck:
     """Evaluate all four defining conditions exactly."""
     if triple.lattice != L:
         raise ValueError("triple does not live in the given lattice")
-    return TripleCheck(
-        v_norm=inner_product(L, triple.v, triple.v),
-        v_dot_vprime=inner_product(L, triple.v, triple.vprime),
-        v_dot_w=inner_product(L, triple.v, triple.w),
-        w_norm=inner_product(L, triple.w, triple.w),
-        d=triple.d,
-    )
+    v, vp, w = triple.v.coords, triple.vprime.coords, triple.w.coords
+    gv = L.gram.mul_vec(v)
+    # G is symmetric, so v'.(G v) = v.(G v')
+    return TripleCheck(dot(v, gv), dot(vp, gv), dot(w, gv), dot(w, L.gram.mul_vec(w)), triple.d)
 
 
 FOUND = "found"
@@ -168,13 +147,13 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
     A definite lattice, or one that fails a condition, is reported as
     ``impossible`` with the reason before any box is scanned.
 
-    Otherwise candidates for v are the primitive isotropic vectors with
-    all coordinates bounded by ``bound``, taken in canonical order; w is
-    the first vector of norm -d in the box (listed once per search) that
-    is orthogonal to v, and for a v with such a w the minimal completing
-    v' is sought in the same box.  The first fully completed candidate
-    wins.  A found triple is checked against its four conditions before
-    it is returned.
+    Otherwise candidates for v are the isotropic vectors with all
+    coordinates bounded by ``bound`` and gcd(G v) = 1, which makes v
+    primitive, taken in canonical order; w is the first vector of norm -d
+    in the box (listed once per search) that is orthogonal to v, and for
+    a v with such a w the minimal completing v' is sought in the same
+    box.  The first fully completed candidate wins.  A found triple is
+    checked against its four conditions before it is returned.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")
@@ -204,10 +183,8 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
 
     ws = None
     for v in vectors_with_norm(L.gram, 0, bound, canonical=True):
-        if math.gcd(*v) != 1:
-            continue
         gv = L.gram.mul_vec(v)
-        # by Bezout some v' has <gv, v'> = 1 exactly when gcd(gv) = 1
+        # gcd(gv) = 1 iff some v' has <gv, v'> = 1 (Bezout); it makes v primitive
         if math.gcd(*gv) != 1:
             continue
         # w before v': ws is listed once per search, while each v' scans the box
@@ -243,11 +220,12 @@ def hyperbolic_normalize(
     [[0,1,0],[1,0,0],[0,0,m]] with |m| = |det L|.
     """
     vc, vp = _coerce_coords(L, v), _coerce_coords(L, vprime)
-    if inner_product(L, vc, vc) != 0:
+    gv = L.gram.mul_vec(vc)
+    if dot(vc, gv) != 0:
         raise ValueError("v must be isotropic (v^2 = 0)")
-    if inner_product(L, vc, vp) != 1:
+    if dot(vp, gv) != 1:
         raise ValueError("v and v' must pair to 1")
-    q = inner_product(L, vp, vp)
+    q = dot(vp, L.gram.mul_vec(vp))
     if q % 2 != 0:
         raise ParityError(
             "v'^2 is odd: no integral isotropic completion of the hyperbolic pair"
@@ -256,4 +234,6 @@ def hyperbolic_normalize(
     b2 = tuple(a + k * b for a, b in zip(vp, vc))
     _, complement = orthogonal_complement(L, [vc, b2])
     basis_coords = [vc, b2, *(c.coords for c in complement)]
+    if determinant(IntMatrix(basis_coords)) not in (1, -1):
+        raise RuntimeError(f"internal error: basis {basis_coords} is not unimodular")
     return [LatticeVec(L, b) for b in basis_coords], basis_gram(L, basis_coords)

@@ -86,8 +86,9 @@ def test_admissible_payloads_match_per_d_reports():
         assert cli.admissible_payload(m, verbose=False)["admissible"] == admissible, m
 
 
-class Started(Exception):
-    """Raised by a stand-in for the work a ceiling guards."""
+class Started(BaseException):
+    """Raised by a stand-in for the work a ceiling guards; not an Exception,
+    so main, which maps every Exception to exit 5, lets it through."""
 
 
 def refuse(*args):
@@ -361,6 +362,14 @@ def test_mukai_normalize_precondition_exit_4(capsys):
     )
     assert code == 4
     assert "isotropic" in err
+
+
+def test_internal_error_exits_5_with_traceback(capsys, monkeypatch):
+    # a v' that pairs to 2 with v fails the check inside the search
+    monkeypatch.setattr(mukai, "_min_dual_one", lambda gv, bound: (2, 2, 0))
+    code, out, err = run(capsys, "mukai", "search", "--lattice", "L26", "--d", "26", "--json")
+    assert (code, out) == (5, "")
+    assert err.startswith("Traceback") and "RuntimeError: internal error" in err
 
 
 def test_mukai_vector_usage_error(capsys):

@@ -151,6 +151,44 @@ def test_lambda_coefficients():
         lambda_class(3)
 
 
+def nil_exp(x):
+    """e^x for a class x without constant term; h^5 = 0 ends the series."""
+    out = term = CohClass([1])
+    for k in range(1, 5):
+        term = term * x.scale(Fraction(1, k))
+        out = out + term
+    return out
+
+
+def test_lambda_classes_are_projected_lines():
+    """lambda_k = v(pr i_*O_L(k)) for a line L in the cubic, k = 1, 2.
+
+    Conventions: the Todd class is td = e^{6 f(h) - f(3h)} with
+    f(x) = x/2 - x^2/24 + x^4/2880 = log(x / (1 - e^-x)); ch O(j) = e^{jh};
+    chi(a, b) = integral(dual(a) * b * td) on Chern characters, whose sign
+    is opposite to that of the Mukai pairing; pr = L_O o L_O(1) o L_O(2),
+    so the left mutation c -> c - chi(ch E, c) ch E runs through O(2),
+    then O(1), then O; ch(i_*O_L(k)) = h^3/3 + (2k - 1)/6 h^4 by
+    Grothendieck-Riemann-Roch for a line with normal bundle O + O + O(1);
+    and v = ch * sqrt(td) is the Mukai vector.
+    """
+    h = CohClass([0, 1])
+
+    def f(x):
+        x2 = x * x
+        return x.scale(Fraction(1, 2)) + x2.scale(Fraction(-1, 24)) + (x2 * x2).scale(Fraction(1, 2880))
+
+    log_td = f(h).scale(6) + f(h.scale(3)).scale(-1)
+    td = nil_exp(log_td)
+    assert td == coh(ref_todd())
+    for k in (1, 2):
+        c = CohClass([0, 0, 0, Fraction(1, 3), Fraction(2 * k - 1, 6)])
+        for j in (2, 1, 0):
+            e = nil_exp(h.scale(j))
+            c = c + e.scale(-integral(dual(e) * c * td))
+        assert c * nil_exp(log_td.scale(Fraction(1, 2))) == lambda_class(k)
+
+
 def test_lambda_gram_is_a2_minus_one():
     assert lambda_gram() == [[-2, 1], [1, -2]]
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 import sympy as sp
 
+from cubiclat import lattices
 from cubiclat.errors import DegenerateGramError, LatticeFormatError
 from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, ldlt_signature
 from cubiclat.lattices import (
@@ -392,6 +393,14 @@ def test_isometry_l26_vs_hyperbolic_splitting():
     T = res.map
     assert (T.transpose() @ L26.gram @ T) == target.gram
     assert determinant(T) in (1, -1)
+
+
+def test_isometry_checks_the_witness_before_returning_it(monkeypatch):
+    # the identity does not carry L26 to U + Z(-26)
+    monkeypatch.setattr(lattices, "_search_isometry", lambda g1, g2, bound: IntMatrix.identity(3))
+    target = direct_sum([hyperbolic_plane(), z_lattice(-26)])
+    with pytest.raises(RuntimeError, match="internal error: .* is not an isometry"):
+        is_isometric_small(kuznetsov_rank3_lattice(26), target)
 
 
 def test_isometry_l42_vs_hyperbolic_splitting():

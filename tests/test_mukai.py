@@ -62,9 +62,26 @@ def test_verify_known_triples():
 def test_verify_reports_failures():
     # v' = v cannot pair to 1 once v is isotropic
     check = verify_triple(L26, triple(L26, (1, 3, 1), (1, 3, 1), (11, 22, 7), 26))
-    assert check.v_isotropic and not check.pairing_ok and not check.all_ok
     conds = check.conditions()
+    assert conds["v.v"]["ok"] and not conds["v.v'"]["ok"] and not check.all_ok
     assert conds["v.v'"]["ok"] is False and conds["v.v'"]["value"] == 0
+
+
+def test_verify_matches_inner_product_on_random_triples():
+    # verify_triple takes v.v' as v'.(G v); x^T G y with the arguments as
+    # written guards that shortcut
+    rng = random.Random(11)
+    for _ in range(300):
+        g = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        L = Lattice(3, IntMatrix([[g[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]))
+        v, vp, w = (tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
+        check = verify_triple(L, triple(L, v, vp, w, 26))
+        assert (check.v_norm, check.v_dot_vprime, check.v_dot_w, check.w_norm) == (
+            inner_product(L, v, v),
+            inner_product(L, v, vp),
+            inner_product(L, v, w),
+            inner_product(L, w, w),
+        )
 
 
 def test_verify_rejects_foreign_lattice():
@@ -329,6 +346,17 @@ def test_normalize_after_search_on_random_congruences():
         assert gram.rows[1][1] == 0
         assert gram.rows[2][2] == -k
         assert determinant(gram) == determinant(L.gram)
+
+
+def test_normalize_checks_the_basis_before_returning_it(monkeypatch):
+    # a doubled complement generator leaves a basis of index 2
+    def doubled(L, vectors):
+        sub, basis = orthogonal_complement(L, vectors)
+        return sub, [L.vec([2 * a for a in b.coords]) for b in basis]
+
+    monkeypatch.setattr(mukai, "orthogonal_complement", doubled)
+    with pytest.raises(RuntimeError, match="internal error: basis .* is not unimodular"):
+        hyperbolic_normalize(L26, (1, 3, 1), (1, 0, 0))
 
 
 def test_normalize_parity_error():
