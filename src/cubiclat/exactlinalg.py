@@ -13,6 +13,7 @@ Bareiss elimination, and the signature by symmetric Bareiss elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -41,7 +42,7 @@ def _require_ints(values: Iterable) -> None:
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def sign_normalize(v: Sequence[int]) -> tuple[int, ...]:

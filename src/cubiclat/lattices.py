@@ -20,6 +20,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateGramError, LatticeFormatError
@@ -255,29 +256,6 @@ def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
 # O(bound^(rank-1)) work is done instead of scanning the full box.
 
 
-def _quadratic_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
-    """Integer solutions of a*x^2 + b*x + c = 0 with lo <= x <= hi."""
-    if a == 0:
-        if b == 0:
-            return list(range(lo, hi + 1)) if c == 0 else []
-        if c % b != 0:
-            return []
-        x = -c // b
-        return [x] if lo <= x <= hi else []
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return []
-    roots = set()
-    for sq in (s, -s):
-        num = -b + sq
-        if num % (2 * a) == 0:
-            roots.add(num // (2 * a))
-    return sorted(x for x in roots if lo <= x <= hi)
-
-
 def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, ...]]:
     """Every integer x with x^T G x + l.x = value and |x_i| <= bound.
 
@@ -289,12 +267,9 @@ def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, .
     if not 1 <= n <= 3 or len(gram) != n:
         raise ValueError("integer_solutions supports ranks 1 to 3")
     lo, hi, m = -bound, bound, n - 1
-    a = gram[m][m]
-    if m == 0:
-        return [(y,) for y in _quadratic_roots(a, linear[0], -value, lo, hi)]
     box = range(lo, hi + 1)
     # (leading coordinates, form minus value on them, linear part given them);
-    # the second-to-last coordinate is looped inline, which keeps it cheap
+    # the second-to-last coordinate x is looped inline, which keeps it cheap
     states = [((), -value, linear)]
     for k in range(m - 1):
         row = gram[k]
@@ -303,15 +278,38 @@ def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, .
             for p, c, t in states
             for x in box
         ]
-    row = gram[m - 1]
-    d, e = row[m - 1], 2 * row[m]
+    if m:
+        row = gram[m - 1]
+        d, e, xs = row[m - 1], 2 * row[m], box
+    else:
+        # rank 1 has no x: one pass with x = 0, dropped from the result
+        d, e, xs = 0, 0, (0,)
+    # the last coordinate y solves a y^2 + b y + c = 0, inline: no call per (x, y)
+    a = gram[m][m]
+    a2, a4, sgn = 2 * a, 4 * a, 1 if a > 0 else -1
     out = []
-    for p, c, t in states:
+    for p, c0, t in states:
         tk, tm = t[m - 1], t[m]
-        for x in box:
-            for y in _quadratic_roots(a, tm + e * x, c + (d * x + tk) * x, lo, hi):
-                out.append(p + (x, y))
-    return out
+        for x in xs:
+            b, c = tm + e * x, c0 + (d * x + tk) * x
+            if a:
+                disc = b * b - a4 * c
+                if disc < 0:
+                    continue
+                s = math.isqrt(disc)
+                if s * s != disc:
+                    continue
+                # (-b -+ s) / 2a in increasing order; one root when s = 0
+                q = sgn * s
+                for num in (-b - q, -b + q) if q else (-b,):
+                    if num % a2 == 0 and lo <= num // a2 <= hi:
+                        out.append(p + (x, num // a2))
+            elif b:
+                if c % b == 0 and lo <= -c // b <= hi:
+                    out.append(p + (x, -c // b))
+            elif c == 0:
+                out.extend(p + (x, y) for y in box)
+    return out if m else [y[1:] for y in out]
 
 
 def vectors_with_norm(
@@ -357,30 +355,43 @@ class IsometryResult:
 
 
 def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | None:
-    """First basis image T (canonical DFS order) with T^t g1 T = g2."""
-    n = g1.nrows
-    cands = [vectors_with_norm(g1, g2.rows[j][j], bound, canonical=False) for j in range(n)]
-    order = sorted(range(n), key=lambda j: (len(cands[j]), j))
+    """First basis image T (canonical DFS order) with T^t g1 T = g2.
 
-    def extend(placed):
-        # placed holds (column, x, g1 x) for the columns chosen so far
-        if len(placed) == n:
+    Column j of T is a box vector of norm g2_jj; the candidates are listed
+    once per distinct norm.  Columns are placed fewest candidates first.
+    Placing one filters the candidates of every later column by their
+    pairing with it (forward checking), so a branch ends as soon as some
+    column has none left.  The filters keep each list in order, so the
+    first witness is the one that testing every pairing at placement finds.
+    """
+    n = g1.nrows
+    norms = [g2.rows[j][j] for j in range(n)]
+    lists = {c: vectors_with_norm(g1, c, bound, canonical=False) for c in set(norms)}
+    order = sorted(range(n), key=lambda j: (len(lists[norms[j]]), j))
+
+    def extend(placed, pending):
+        # placed holds (column, x) chosen so far; pending holds (column,
+        # candidates) for the rest, each candidate paired right with placed
+        if not pending:
             return placed
-        pos = order[len(placed)]
-        for x in cands[pos]:
+        (pos, cands), rest = pending[0], pending[1:]
+        pairings = g2.rows[pos]
+        for x in cands:
             # a global sign flip is always an isometry: pin the first column.
             if not placed and sign_normalize(x) != x:
                 continue
-            if all(dot(gx, x) == g2.rows[j][pos] for j, _, gx in placed):
-                done = extend([*placed, (pos, x, g1.mul_vec(x))])
+            gx = g1.mul_vec(x)
+            later = [(j, [y for y in ys if sum(map(mul, gx, y)) == pairings[j]]) for j, ys in rest]
+            if all(ys for _, ys in later):
+                done = extend([*placed, (pos, x)], later)
                 if done is not None:
                     return done
         return None
 
-    placed = extend([])
+    placed = extend([], [(j, lists[norms[j]]) for j in order])
     if placed is None:
         return None
-    columns = [x for _, x, _ in sorted(placed)]
+    columns = [x for _, x in sorted(placed)]
     return IntMatrix([[x[i] for x in columns] for i in range(n)], ncols=n)
 
 

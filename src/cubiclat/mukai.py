@@ -29,7 +29,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateGramError, ParityError
-from .exactlinalg import IntMatrix, _require_ints, coord_key, determinant, dot, ldlt_signature
+from .exactlinalg import (
+    IntMatrix,
+    _require_ints,
+    coord_key,
+    determinant,
+    dot,
+    kernel_basis,
+    ldlt_signature,
+    sign_normalize,
+    xgcd,
+)
 from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
     Lattice,
@@ -107,10 +117,11 @@ IMPOSSIBLE = "impossible"
 
 #: largest ``--bound`` the command line accepts.  A search that fails the
 #: certificate returns at once at any bound (0.03 ms for d = 27 on L26);
-#: one that passes it lists the box's vectors of norm 0 and -d, about
-#: bound^2 work.  At 200 that took 0.41 s to find the L26 triple for
-#: d = 26, 0.26 s to find none for d = 26 * 300^2, and at most 1 s on
-#: twelve conjugates of U + Z(-e) (Python 3.11, 2 vCPUs)
+#: one that passes it lists the box's isotropic vectors, about bound^2
+#: work, and takes each one's w from a line, about bound.  At 200 that
+#: took 0.09-0.13 s to find the L26 triple for d = 26, 0.05-0.07 s to find
+#: none for d = 26 * 300^2, and at most 0.36 s on twelve conjugates of
+#: U + Z(-e) (Python 3.11, 2 vCPUs)
 MAX_BOUND = 200
 
 
@@ -136,6 +147,41 @@ def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
     return min(integer_solutions(zero, gv, 1, bound), key=coord_key, default=None)
 
 
+def _min_w(v: Sequence[int], gv: Sequence[int], k: int, bound: int) -> tuple[int, ...] | None:
+    """Canonically smallest w in the box with <gv, w> = 0 and w^2 = -k^2 det L.
+
+    v is isotropic with gcd(gv) = 1, so v^perp = Z v + Z g with
+    g^2 = -det L, and every such w is +-(a v + k g).  Each coordinate
+    bounds a to an interval, so this costs O(bound).
+    """
+    b1, b2 = kernel_basis(IntMatrix([gv]))
+    # v = alpha b1 + beta b2, read off a nonzero 2x2 minor of (b1, b2);
+    # v is primitive, so xgcd completes it to the basis (v, g)
+    i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if b1[i] * b2[j] != b1[j] * b2[i])
+    minor = b1[i] * b2[j] - b1[j] * b2[i]
+    alpha, beta = (v[i] * b2[j] - v[j] * b2[i]) // minor, (b1[i] * v[j] - b1[j] * v[i]) // minor
+    _, x, y = xgcd(alpha, beta)
+    g = [x * q - y * p for p, q in zip(b1, b2)]
+    # |a v_i + k g_i| <= bound puts a in an interval; for v_i < 0 negate both
+    # terms first, so the lower end is always a ceiling, -((bound + h) // v_i)
+    lo, hi = [], []
+    for vi, gi in zip(v, g):
+        h = k * gi
+        if vi == 0:
+            if abs(h) > bound:
+                return None
+            continue
+        if vi < 0:
+            vi, h = -vi, -h
+        lo.append(-((bound + h) // vi))
+        hi.append((bound - h) // vi)
+    return min(
+        (sign_normalize([a * p + k * q for p, q in zip(v, g)]) for a in range(max(lo), min(hi) + 1)),
+        key=coord_key,
+        default=None,
+    )
+
+
 def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
     """Exhaustive box search for a triple (v, v', w) as above.
 
@@ -149,11 +195,12 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
 
     Otherwise candidates for v are the isotropic vectors with all
     coordinates bounded by ``bound`` and gcd(G v) = 1, which makes v
-    primitive, taken in canonical order; w is the first vector of norm -d
-    in the box (listed once per search) that is orthogonal to v, and for
-    a v with such a w the minimal completing v' is sought in the same
-    box.  The first fully completed candidate wins.  A found triple is
-    checked against its four conditions before it is returned.
+    primitive, taken in canonical order; w is the canonically first box
+    vector orthogonal to v of norm -d, found on its line a v + k g with
+    k^2 = d / det L, and for a v with such a w the minimal completing v'
+    is sought in the same box.  The first fully completed candidate wins.
+    A found triple is checked against its four conditions before it is
+    returned.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")
@@ -181,16 +228,14 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
             IMPOSSIBLE, reason=f"discriminant group {group} is not cyclic"
         )
 
-    ws = None
+    k = math.isqrt(d // det)
     for v in vectors_with_norm(L.gram, 0, bound, canonical=True):
         gv = L.gram.mul_vec(v)
         # gcd(gv) = 1 iff some v' has <gv, v'> = 1 (Bezout); it makes v primitive
         if math.gcd(*gv) != 1:
             continue
-        # w before v': ws is listed once per search, while each v' scans the box
-        if ws is None:
-            ws = vectors_with_norm(L.gram, -d, bound, canonical=True)
-        w = next((x for x in ws if dot(gv, x) == 0), None)
+        # w before v': w lies on a line, while each v' scans the box
+        w = _min_w(v, gv, k, bound)
         if w is None:
             continue
         vprime = _min_dual_one(gv, bound)

@@ -353,11 +353,39 @@ def enumeration_cases(rng):
         yield kind, g, lin, value, bound
 
 
+def solve_branches(g, lin, value, solutions):
+    """Branches of the last-coordinate solve a y^2 + b y + c = 0 that the solutions go through.
+
+    ``solutions`` is in lexicographic order; a, b and c are read off the
+    form at y = 0 and y = +-1 for each prefix that has a solution.
+    """
+    m = len(lin) - 1
+
+    def f(x):
+        form = sum(g[i][j] * x[i] * x[j] for i in range(m + 1) for j in range(m + 1))
+        return form + sum(a * b for a, b in zip(lin, x)) - value
+
+    branches = set()
+    for p, ys in itertools.groupby(solutions, key=lambda x: x[:m]):
+        a, c, b = g[m][m], f(p + (0,)), (f(p + (1,)) - f(p + (-1,))) // 2
+        count = len(list(ys))
+        if a and count == 2:
+            branches.add("two roots, a > 0" if a > 0 else "two roots, a < 0")
+        elif a and b * b == 4 * a * c:
+            branches.add("double root")
+        elif not a and b:
+            branches.add("linear")
+        elif not a:
+            branches.add("column")
+    return branches
+
+
 def test_integer_solutions_match_box_scan():
-    signs = set()
+    signs, branches = set(), set()
     for kind, g, lin, value, bound in enumeration_cases(random.Random(6)):
         expected = box_scan(g, lin, value, bound)
         assert integer_solutions(g, lin, value, bound) == expected, (g, lin, value, bound)
+        branches |= solve_branches(g, lin, value, expected)
         if kind == 1:
             signs.add(value > 0)
             got = vectors_with_norm(IntMatrix(g), value, bound, canonical=False)
@@ -366,6 +394,7 @@ def test_integer_solutions_match_box_scan():
             best = min(box_scan(g, lin, 1, bound), key=coord_key, default=None)
             assert _min_dual_one(lin, bound) == best, (lin, bound)
     assert signs == {True, False}
+    assert branches == {"two roots, a > 0", "two roots, a < 0", "double root", "linear", "column"}
 
 
 def test_integer_solutions_reject_rank_0_and_4():
@@ -623,6 +652,24 @@ def test_isometry_witnesses_are_pinned():
     for (L1, L2), rows in zip(witness_pairs(), PINNED_WITNESSES):
         res = is_isometric_small(L1, L2)
         assert (res.status, res.map.rows) == (ISOMETRIC, rows), (L1.gram, L2.gram)
+    # the slowest isometry queries of the triple-search benchmark
+    for d, rows in (
+        (26, ((1, 2, -11), (-1, 0, 4), (1, 1, -7))),
+        (42, ((1, 2, -14), (-2, -1, 14), (-1, -1, 9))),
+    ):
+        target = direct_sum([hyperbolic_plane(), z_lattice(-d)])
+        res = is_isometric_small(kuznetsov_rank3_lattice(d), target)
+        assert (res.status, res.map.rows) == (ISOMETRIC, rows), d
+
+
+def test_isometry_exhaustive_when_every_branch_is_pruned():
+    # <1, 2, 3> and <1, 1, 6>: det 6, group Z/6, both odd, yet only one has
+    # two orthogonal vectors of norm 1.  Every column has candidates, so it
+    # is the pairing filter that ends each branch.
+    L1, L2 = (direct_sum([z_lattice(n) for n in diag]) for diag in ((1, 2, 3), (1, 1, 6)))
+    assert all(vectors_with_norm(L1.gram, c, 6) for c in (1, 6))
+    res = is_isometric_small(L1, L2)
+    assert (res.status, res.reason) == (NOT_ISOMETRIC, "exhaustive")
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,8 @@ def box_scan_triple(L, d, bound):
 
 
 def conjugate(rng, gram):
+    # draws a sign per entry, so Q is unimodular only by chance and Q^t G Q
+    # is in general the Gram of a sublattice of finite index
     m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     for _ in range(4):
         i, j = rng.sample(range(3), 2)
@@ -288,6 +290,77 @@ def test_search_matches_box_scan_reference():
     # 157 of the 240 are impossible, 155 of them by the certificate; the
     # reference scan above agrees that each of their boxes holds no triple
     assert impossible >= 150
+
+
+#: (v, v', w) found by each search of ``pinned_search_cases``, in order
+PINNED_TRIPLES = [
+    ((1, -1, 1), (1, 1, 0), (4, 3, 0)),
+    ((1, -2, -1), (1, 1, 0), (10, 8, 0)),
+    ((1, 0, 0), (0, 1, 0), (0, 6, 3)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, -1), (1, 0, 0), (0, 0, 2)),
+    ((1, -1, 1), (1, 1, 0), (12, 9, 0)),
+    ((1, -2, -1), (1, 1, 0), (5, 4, 0)),
+    ((0, 0, 1), (0, 1, 0), (2, 0, 0)),
+    ((0, 1, -1), (-1, 0, 0), (0, 0, 3)),
+    ((1, 0, 0), (0, 1, 0), (0, 2, 1)),
+    ((1, -1, 1), (1, 1, 0), (8, 6, 0)),
+    ((1, -2, -1), (1, 1, 0), (15, 12, 0)),
+    ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 2)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 3)),
+    ((1, -1, 1), (1, 1, 0), (4, 3, 0)),
+    ((1, -2, -1), (1, 1, 0), (10, 8, 0)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 3)),
+    ((0, 1, -1), (1, 0, 0), (0, 0, 1)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 2)),
+    ((1, -1, 1), (1, 1, 0), (12, 9, 0)),
+    ((1, -2, -1), (1, 1, 0), (5, 4, 0)),
+    ((0, 1, -1), (1, 0, 0), (0, 0, 2)),
+    ((1, 0, 0), (0, 0, 1), (0, 3, -6)),
+    ((0, 1, 0), (0, 0, -1), (1, 0, 1)),
+    ((1, -1, 1), (1, 1, 0), (8, 6, 0)),
+    ((1, -2, -1), (1, 1, 0), (15, 12, 0)),
+    ((1, 1, 0), (0, -1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 2)),
+    ((1, -1, 0), (0, 0, -1), (0, 3, 3)),
+]
+
+
+def unimodular_conjugate(rng, gram):
+    """Q^t G Q for Q a product of four elementary matrices, so det Q = 1."""
+    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        i, j = rng.sample(range(3), 2)
+        sign = rng.choice((-1, 1))
+        m[i] = [a + sign * b for a, b in zip(m[i], m[j])]
+    Q = IntMatrix(m)
+    return Q.transpose() @ gram @ Q
+
+
+def pinned_search_cases():
+    """30 seeded (L, d, bound): L26, L42 and conjugates of U + Z(-e), d = k^2 det L, k = 1, 2, 3."""
+    rng = random.Random(18)
+    for case in range(len(PINNED_TRIPLES)):
+        if case % 5 < 2:
+            L = (L26, L42)[case % 5]
+        else:
+            e = rng.choice((2, 3, 5, 6, 14, 26))
+            L = Lattice(3, unimodular_conjugate(rng, direct_sum([hyperbolic_plane(), z_lattice(-e)]).gram))
+        yield L, (1 + case % 3) ** 2 * determinant(L.gram), rng.randint(6, 60)
+
+
+def test_found_triples_are_pinned():
+    # the box-scan reference above stops at bound 5; these reach bound 60
+    negative = 0
+    for (L, d, bound), expected in zip(pinned_search_cases(), PINNED_TRIPLES):
+        res = find_isotropic_triple(L, d, bound)
+        assert res.status == FOUND, (L.gram, d, bound)
+        got = (res.triple.v.coords, res.triple.vprime.coords, res.triple.w.coords)
+        assert got == expected, (L.gram, d, bound)
+        negative += min(got[0]) < 0
+    # a v with a negative coordinate bounds the multiple of v in w from the other side
+    assert negative >= len(PINNED_TRIPLES) // 3
 
 
 # ---------------------------------------------------------------------------
