@@ -9,13 +9,19 @@ Two sieves act on a positive integer d:
 Discriminants satisfying (**) are called admissible; they are exactly
 the ones with an associated polarized K3 surface, of genus d/2 + 1.
 A single d is tested by trial division of d/2, which is O(sqrt d).  The
-range functions ``enumerate_admissible`` and ``discriminant_reports``
-read one witness table, sieved once over every d/2 <= max_d/2.
+range functions ``enumerate_admissible`` and ``report_rows`` read one
+witness table, sieved once over every d/2 <= max_d/2.  ``report_rows``
+makes the range report in one loop over that table, as plain tuples with
+no call per d; ``discriminant_reports`` wraps its rows in
+``DiscriminantReport``, and ``discriminant_report`` runs the same rule
+on the trial-division witness of one d.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import starmap
 from math import isqrt
 
 #: largest range the command line accepts; the witness table of 10^7
@@ -25,6 +31,9 @@ MAX_D = 10**7
 #: largest range the command line reports d by d (``admissible --verbose``);
 #: at 2 * 10^5 the JSON is 27 MB and takes about 2 s and 190 MB to print
 MAX_VERBOSE_D = 2 * 10**5
+
+#: (d, satisfies_star, satisfies_star_star, genus, witness)
+ReportRow = tuple[int, bool, bool, int | None, int | None]
 
 
 def satisfies_star(d: int) -> bool:
@@ -135,25 +144,39 @@ class DiscriminantReport:
             raise ValueError("genus must be present exactly for even d")
 
 
-def _report(d: int, witness: int | None) -> DiscriminantReport:
-    """The report of d, given the witness of (**) when (*) holds."""
-    star = satisfies_star(d)
-    return DiscriminantReport(
-        d=d,
-        satisfies_star=star,
-        satisfies_star_star=star and witness is None,
-        genus=genus_of_discriminant(d) if d % 2 == 0 else None,
-        witness=witness if star else None,
-    )
+def _report_rows(ds: Iterable[int], witnesses) -> list[ReportRow]:
+    """The report of each d in ds as (d, star, star_star, genus, witness).
+
+    The one rule behind every report.  ``witnesses[d // 2]`` is the
+    smallest obstruction to (**) for d/2, or 0 or None when there is
+    none; it is read only for the d where (*) holds.
+    """
+    rows = []
+    append = rows.append
+    for d in ds:
+        if d % 2:
+            append((d, False, False, None, None))
+        elif d > 6 and d % 6 != 4:
+            witness = witnesses[d // 2]
+            append((d, True, not witness, d // 2 + 1, witness or None))
+        else:
+            append((d, False, False, d // 2 + 1, None))
+    return rows
+
+
+def report_rows(max_d: int) -> list[ReportRow]:
+    """The fields of ``discriminant_report(d)`` for every d in 1..max_d, in
+    field order, as plain tuples read from one witness table."""
+    if max_d < 1:
+        raise ValueError("max_d must be a positive integer")
+    return _report_rows(range(1, max_d + 1), _witness_table(max_d // 2))
 
 
 def discriminant_report(d: int) -> DiscriminantReport:
-    return _report(d, satisfies_star_star(d)[1])
+    witness = satisfies_star_star(d)[1]
+    return DiscriminantReport(*_report_rows((d,), {d // 2: witness})[0])
 
 
 def discriminant_reports(max_d: int) -> list[DiscriminantReport]:
     """``discriminant_report(d)`` for every d in 1..max_d, from one table."""
-    if max_d < 1:
-        raise ValueError("max_d must be a positive integer")
-    table = _witness_table(max_d // 2)
-    return [_report(d, table[d // 2] or None) for d in range(1, max_d + 1)]
+    return list(starmap(DiscriminantReport, report_rows(max_d)))

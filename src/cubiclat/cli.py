@@ -25,6 +25,8 @@ import json
 import os
 import sys
 import traceback
+from itertools import chain, tee
+from operator import itemgetter
 
 from . import admissibility, chow, cohomology, mukai
 from .errors import CubiclatError, LatticeFormatError
@@ -63,21 +65,21 @@ def resolve_lattice(source: str) -> Lattice:
 
 
 def admissible_payload(max_d: int, verbose: bool) -> dict:
+    """The admissible list up to max_d and, when verbose, a report per d.
+
+    The reports are the plain rows of ``admissibility.report_rows``, one
+    dict per d with its keys in field order, and the admissible list is
+    read off the same rows; no ``DiscriminantReport`` is built.
+    """
     if not verbose:
         return {"max": max_d, "admissible": admissibility.enumerate_admissible(max_d)}
-    reports = admissibility.discriminant_reports(max_d)
+    rows = admissibility.report_rows(max_d)
     return {
         "max": max_d,
-        "admissible": [r.d for r in reports if r.satisfies_star_star],
+        "admissible": [row[0] for row in rows if row[2]],
         "reports": [
-            {
-                "d": r.d,
-                "star": r.satisfies_star,
-                "star_star": r.satisfies_star_star,
-                "genus": r.genus,
-                "witness": r.witness,
-            }
-            for r in reports
+            {"d": d, "star": star, "star_star": star_star, "genus": genus, "witness": witness}
+            for d, star, star_star, genus, witness in rows
         ],
     }
 
@@ -196,6 +198,9 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_SCALAR_TYPES = {int, bool, type(None)}
+#: the JSON text of True, False and None, keyed by their repr
+_LITERAL = {"True": "true", "False": "false", "None": "null"}.get
 
 
 def _json_text(value, pad: str) -> str:
@@ -217,17 +222,57 @@ def _json_text(value, pad: str) -> str:
         if not value:
             return "{}"
         # keys are strings: the encoder refuses any other type
-        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
-        return "{" + inner + sep.join(items) + pad + "}"
+        items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        # an f-string copies its parts once, where a chain of + copies a
+        # long part at every step
+        return f"{{{inner}{sep.join(items)}{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         if all(type(v) is int for v in value):
             body = sep.join(map(int.__repr__, value))
         else:
-            body = sep.join([_json_text(v, inner) for v in value])
-        return "[" + inner + body + pad + "]"
+            body = _scalar_rows_text(value, inner)
+            if body is None:
+                body = sep.join([_json_text(v, inner) for v in value])
+        return f"[{inner}{body}{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _scalar_rows_text(rows, pad: str) -> str | None:
+    """The items of ``_json_text(rows, ...)`` for a list of dicts that share
+    one non-empty key set and hold only int, bool and None values; None
+    for any other list.
+
+    One template is built from the sorted keys and filled row by row, with
+    the values streamed through iterators rather than held as columns.
+    """
+    first = rows[0]
+    if type(first) is not dict or not first:
+        return None
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
+        return None
+    names = sorted(first)
+    get = itemgetter(*names)
+
+    def values():
+        # itemgetter of one key returns the value, not a 1-tuple
+        return chain.from_iterable(map(get, rows)) if len(names) > 1 else map(get, rows)
+
+    try:
+        # the rows have one length, so a row without a key of the first
+        # has another key instead
+        if not set(map(type, values())) <= _SCALAR_TYPES:
+            return None
+    except KeyError:
+        return None
+    inner = pad + "  "
+    fields = ("," + inner).join(_encode_str(k).replace("%", "%%") + ": %s" for k in names)
+    template = "{" + inner + fields + pad + "}"
+    # an int's repr is its JSON text; True, False and None swap theirs
+    reprs, fallback = tee(map(repr, values()))
+    texts = map(_LITERAL, reprs, fallback)
+    return ("," + pad).join(map(template.__mod__, zip(*[texts] * len(names))))
 
 
 def human_lines(payload: dict, indent: str = "") -> list[str]:

@@ -7,6 +7,7 @@ with the per-d trial division.
 """
 
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from cubiclat.admissibility import (
     discriminant_reports,
     enumerate_admissible,
     genus_of_discriminant,
+    report_rows,
     satisfies_star,
     satisfies_star_star,
 )
@@ -156,12 +158,16 @@ def per_d_admissible(max_d):
 def test_table_matches_trial_division_for_every_max_up_to_300():
     for m in range(1, 301):
         assert enumerate_admissible(m) == per_d_admissible(m), m
-        assert discriminant_reports(m) == list(map(discriminant_report, range(1, m + 1))), m
+        reports = list(map(discriminant_report, range(1, m + 1)))
+        assert discriminant_reports(m) == reports, m
+        assert report_rows(m) == list(map(astuple, reports)), m
 
 
 def test_reports_reject_nonpositive_max():
     with pytest.raises(ValueError):
         discriminant_reports(0)
+    with pytest.raises(ValueError):
+        report_rows(0)
 
 
 def test_runtime_of_enumeration():

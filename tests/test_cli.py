@@ -120,7 +120,8 @@ def test_mukai_search_bound_ceiling_exit_4_before_searching(capsys, monkeypatch)
 
 
 def test_admissible_verbose_ceiling_exit_4_before_reporting(capsys, monkeypatch):
-    monkeypatch.setattr(admissibility, "discriminant_reports", refuse)
+    # the verbose payload reads the plain rows, the first work it does
+    monkeypatch.setattr(admissibility, "report_rows", refuse)
     over = str(admissibility.MAX_VERBOSE_D + 1)
     assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose"))
     assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose", "--json"))
@@ -504,10 +505,98 @@ json_values = st.recursive(
 )
 
 
+scalars = st.none() | st.booleans() | st.integers() | big_ints
+
+
+@st.composite
+def scalar_rows(draw):
+    """A list of dicts with one key set and scalar values, each row with
+    its keys in its own insertion order: the shape of the row fast path."""
+    keys = draw(st.lists(st.text(), min_size=1, max_size=5, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = {k: draw(scalars) for k in keys}
+        order = draw(st.permutations(keys))
+        rows.append({k: values[k] for k in order})
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(), json_values, max_size=4))
+@given(
+    st.dictionaries(st.text(), json_values | scalar_rows(), max_size=4)
+    | st.dictionaries(st.text(), scalar_rows(), min_size=1, max_size=2)
+)
 def test_emit_writes_the_bytes_of_json_dumps(payload):
     assert emitted(payload) == dumped(payload)
+
+
+UNIFORM_ROWS = [
+    {"a": True, "b": 1, "c": None, "d": -7},
+    {"a": 1, "b": True, "c": 0, "d": 10**200},
+    {"a": False, "b": 0, "c": False, "d": -(10**200)},
+    {"a": 0, "b": False, "c": -1, "d": None},
+]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(UNIFORM_ROWS, id="bool-int-none-huge"),
+        pytest.param([{"d": d, "x": d % 2 == 0} for d in range(-3, 4)], id="negative"),
+        pytest.param([{"b": 1, "a": True}, {"a": None, "b": -2}, {"b": 0, "a": 0}], id="key-orders"),
+        pytest.param([{"only": True}, {"only": 1}, {"only": None}], id="one-key"),
+        pytest.param([{"100%": 1, "%s": True, "a\u00e9\"": None}] * 2, id="format-chars-in-keys"),
+    ],
+)
+def test_scalar_rows_take_the_row_path_and_match_json_dumps(rows):
+    assert cli._scalar_rows_text(rows, "\n  ") is not None
+    for payload in ({"rows": rows}, {"rows": rows, "nested": {"rows": rows, "n": [1, 2]}}):
+        assert emitted(payload) == dumped(payload)
+    assert cli._json_text(rows, "\n") == json.dumps(rows, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param([{"a": 1, "b": 2}, {"a": 1, "c": 2}], id="other-key-set"),
+        pytest.param([{"a": 1, "b": 2}, {"a": 1}], id="fewer-keys"),
+        pytest.param([{"a": 1}, {"a": 1, "b": 2}], id="more-keys"),
+        pytest.param([{}, {}], id="empty-dicts"),
+        pytest.param([{"a": 1}, {}], id="one-empty-dict"),
+        pytest.param([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}], id="str-value"),
+        pytest.param([{"a": 1, "b": [1, 2]}, {"a": 2, "b": [3]}], id="list-value"),
+        pytest.param([{"a": 1, "b": {"c": None}}], id="dict-value"),
+        pytest.param([{"a": 1}, [1]], id="not-all-dicts"),
+        pytest.param([None, {"a": 1}], id="first-not-a-dict"),
+    ],
+)
+def test_other_lists_fall_back_and_match_json_dumps(rows):
+    assert cli._scalar_rows_text(rows, "\n  ") is None
+    assert emitted({"rows": rows}) == dumped({"rows": rows})
+
+
+def test_rows_with_a_float_fall_back_and_are_refused(capsys):
+    # floats are no JSON value of cubiclat: the general path refuses them
+    rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 1}]
+    assert cli._scalar_rows_text(rows, "\n  ") is None
+    with pytest.raises(TypeError):
+        cli.emit("cmd", {"rows": rows}, as_json=True)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter prints integers of any length"
+)
+def test_scalar_rows_with_an_int_too_long_to_print(capsys):
+    rows = [{"d": 1, "x": True}, {"d": 10**5000, "x": None}]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match="too long to print"):
+            cli.emit("cmd", {"rows": rows}, as_json=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == ""
 
 
 def test_emit_writes_the_bytes_of_json_dumps_for_every_payload_builder():

@@ -245,13 +245,15 @@ def box_scan_triple(L, d, bound):
 
 
 def conjugate(rng, gram):
-    # draws a sign per entry, so Q is unimodular only by chance and Q^t G Q
-    # is in general the Gram of a sublattice of finite index
+    # four elementary steps row_i += s * row_j with one sign s per step, so
+    # Q is unimodular and Q^t G Q is a Gram of the same lattice
     m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     for _ in range(4):
         i, j = rng.sample(range(3), 2)
-        m[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(m[i], m[j])]
+        s = rng.choice((-1, 1))
+        m[i] = [a + s * b for a, b in zip(m[i], m[j])]
     Q = IntMatrix(m)
+    assert abs(determinant(Q)) == 1
     return Q.transpose() @ gram @ Q
 
 
@@ -265,7 +267,7 @@ def differential_cases():
         for gram in grams:
             d = e if rng.random() < 0.6 else rng.choice((1, 2, 3, 4 * e, 5, 7, 9 * e))
             cases.append((gram, d, rng.randint(3, 5)))
-    while len(cases) < 240:
+    while len(cases) < 270:
         g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         gram = IntMatrix([[g[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
         det = abs(determinant(gram))
@@ -286,9 +288,11 @@ def test_search_matches_box_scan_reference():
         assert got == box_scan_triple(L, d, bound), (gram, d, bound)
         found += got is not None
         impossible += res.status == IMPOSSIBLE
+    # 89 of the 270 are found; 161 are impossible, 160 of them by the
+    # certificate on det L, d / det L and the discriminant group and one
+    # as definite; the reference scan above agrees that each of their
+    # boxes holds no triple
     assert found >= 50
-    # 157 of the 240 are impossible, 155 of them by the certificate; the
-    # reference scan above agrees that each of their boxes holds no triple
     assert impossible >= 150
 
 
