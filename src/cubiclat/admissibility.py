@@ -29,7 +29,7 @@ from math import isqrt
 MAX_D = 10**7
 
 #: largest range the command line reports d by d (``admissible --verbose``);
-#: at 2 * 10^5 the JSON is 27 MB and takes about 2 s and 190 MB to print
+#: at 2 * 10^5 the JSON is 27 MB and takes about 1 s and 160 MB to print
 MAX_VERBOSE_D = 2 * 10**5
 
 #: (d, satisfies_star, satisfies_star_star, genus, witness)
