@@ -13,7 +13,6 @@ the codimension-3 cycle relations of the characteristic surfaces
 from .admissibility import (
     DiscriminantReport,
     discriminant_report,
-    discriminant_reports,
     enumerate_admissible,
     genus_of_discriminant,
     satisfies_star,

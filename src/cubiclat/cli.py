@@ -20,9 +20,11 @@ nothing to stdout).  Diagnostics go to stderr, payloads to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import re
 import sys
 import traceback
 from itertools import chain, tee
@@ -187,14 +189,13 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
     try:
         if as_json:
             doc = {"command": command, "status": "ok", "payload": payload}
-            lines = [_json_text(doc, "\n")]
+            text = _json_text(doc, "\n")
         else:
-            lines = human_lines(payload)
+            text = "\n".join(human_lines(payload))
     except ValueError as e:
         # str() refuses an int longer than the interpreter's digit limit
         raise ValueError("the result holds an integer too long to print") from e
-    for line in lines:
-        print(line)
+    print(text)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -291,10 +292,18 @@ def human_lines(payload: dict, indent: str = "") -> list[str]:
     return out
 
 
+def _integer(text: str) -> int:
+    """Optionally signed ASCII digits; ``int`` also reads other digits and ``_``."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        with contextlib.suppress(ValueError):  # past the interpreter's digit limit
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         )
@@ -346,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
         return "admissible", admissible_payload(a.max, a.verbose)
 
     p = sub.add_parser("admissible", parents=[common], help="enumerate admissible discriminants")
-    p.add_argument("--max", type=int, required=True, help="upper bound on d")
+    p.add_argument("--max", type=_integer, required=True, help="upper bound on d")
     p.add_argument("--verbose", action="store_true", help="include per-d reports")
     p.set_defaults(run=admissible)
 
@@ -367,7 +376,7 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
     q.add_argument("--w", type=_vector, required=True)
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--d", type=_integer, required=True)
     q.set_defaults(run=verify)
 
     def search(a):
@@ -377,8 +386,8 @@ def _parser() -> argparse.ArgumentParser:
 
     q = msub.add_parser("search", parents=[common], help="search a coordinate box for a triple")
     q.add_argument("--lattice", required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--bound", type=int, default=25)
+    q.add_argument("--d", type=_integer, required=True)
+    q.add_argument("--bound", type=_integer, default=25)
     q.set_defaults(run=search)
 
     q = msub.add_parser("gram-lambda", parents=[common], help="Euler-pairing Gram of (lambda1, lambda2)")

@@ -631,15 +631,14 @@ def lattice_from_json(text: str) -> Lattice:
         raise LatticeFormatError("field 'gram' must be an array of arrays")
     if rank > MAX_RANK or len(gram) > MAX_RANK or any(len(r) > MAX_RANK for r in gram):
         raise LatticeFormatError(f"a lattice file may have rank at most {MAX_RANK}")
-    for r in gram:
-        for e in r:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise LatticeFormatError("field 'gram' must contain integers only")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise LatticeFormatError("field 'label' must be a string")
     try:
         return Lattice(rank, IntMatrix(gram, ncols=rank if not gram else None), label=label)
+    except TypeError as e:
+        # IntMatrix refuses any entry that is not an int, or is a bool
+        raise LatticeFormatError("field 'gram' must contain integers only") from e
     except ValueError as e:
         raise LatticeFormatError(str(e)) from e
 

@@ -48,7 +48,6 @@ from .lattices import (
     basis_gram,
     discriminant_group,
     integer_solutions,
-    orthogonal_complement,
     vectors_with_norm,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
@@ -277,8 +276,8 @@ def hyperbolic_normalize(
         )
     k = -q // 2
     b2 = tuple(a + k * b for a, b in zip(vp, vc))
-    _, complement = orthogonal_complement(L, [vc, b2])
-    basis_coords = [vc, b2, *(c.coords for c in complement)]
+    # the saturated complement of (v, b2): the kernel of their pairing rows
+    basis_coords = [vc, b2, *kernel_basis(IntMatrix([gv, L.gram.mul_vec(b2)]))]
     if determinant(IntMatrix(basis_coords)) not in (1, -1):
         raise RuntimeError(f"internal error: basis {basis_coords} is not unimodular")
     return [LatticeVec(L, b) for b in basis_coords], basis_gram(L, basis_coords)

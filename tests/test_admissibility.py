@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from cubiclat.admissibility import (
     discriminant_report,
-    discriminant_reports,
     enumerate_admissible,
     genus_of_discriminant,
     report_rows,
@@ -159,13 +158,10 @@ def test_table_matches_trial_division_for_every_max_up_to_300():
     for m in range(1, 301):
         assert enumerate_admissible(m) == per_d_admissible(m), m
         reports = list(map(discriminant_report, range(1, m + 1)))
-        assert discriminant_reports(m) == reports, m
         assert report_rows(m) == list(map(astuple, reports)), m
 
 
 def test_reports_reject_nonpositive_max():
-    with pytest.raises(ValueError):
-        discriminant_reports(0)
     with pytest.raises(ValueError):
         report_rows(0)
 

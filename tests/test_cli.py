@@ -381,6 +381,52 @@ def test_mukai_vector_usage_error(capsys):
     assert code == 2
 
 
+# (argument, command line with {} where the argument's digits go, digits)
+INTEGER_ARGUMENTS = [
+    ("max", ["admissible", "--max", "{}"], "26"),
+    ("search-d", ["mukai", "search", "--lattice", "L26", "--d", "{}", "--bound", "5"], "26"),
+    ("bound", ["mukai", "search", "--lattice", "L26", "--d", "26", "--bound", "{}"], "5"),
+    ("verify-v", ["mukai", "verify", "--lattice", "L26", "--v", "{},3,1", "--vp", "1,0,0",
+                  "--w", "11,22,7", "--d", "26"], "1"),
+    ("verify-vp", ["mukai", "verify", "--lattice", "L26", "--v", "1,3,1", "--vp", "1,{},0",
+                   "--w", "11,22,7", "--d", "26"], "0"),
+    ("verify-w", ["mukai", "verify", "--lattice", "L26", "--v", "1,3,1", "--vp", "1,0,0",
+                  "--w", "11,22,{}", "--d", "26"], "7"),
+    ("verify-d", ["mukai", "verify", "--lattice", "L26", "--v", "1,3,1", "--vp", "1,0,0",
+                  "--w", "11,22,7", "--d", "{}"], "26"),
+    ("normalize-v", ["mukai", "normalize", "--lattice", "L42", "--v", "1,{},1", "--vp", "1,0,0"], "3"),
+    ("normalize-vp", ["mukai", "normalize", "--lattice", "L42", "--v", "1,3,1", "--vp", "{},0,0"], "1"),
+]
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+@pytest.mark.parametrize(
+    "form, accepted",
+    [
+        pytest.param(lambda s: s.translate(ARABIC_INDIC), False, id="arabic_indic"),
+        pytest.param(lambda s: s.translate(FULLWIDTH), False, id="fullwidth"),
+        pytest.param(lambda s: "0_" + s, False, id="underscore"),
+        pytest.param(lambda s: f" {s} ", True, id="spaces"),
+        pytest.param(lambda s: "+" + s, True, id="plus_sign"),
+        pytest.param(lambda s: "00" + s, True, id="leading_zeros"),
+    ],
+)
+@pytest.mark.parametrize("argv, digits", [a[1:] for a in INTEGER_ARGUMENTS],
+                         ids=[a[0] for a in INTEGER_ARGUMENTS])
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, digits, form, accepted):
+    # as in a catalog name or a lattice file; int() alone reads any
+    # Unicode decimal digit and underscores between digits
+    plain = run(capsys, *(a.format(digits) for a in argv), "--json")
+    assert plain[0] == 0, plain[2]
+    got = run(capsys, *(a.format(form(digits)) for a in argv), "--json")
+    if accepted:
+        assert got == plain
+    else:
+        assert got[:2] == (2, "")
+        assert "invalid int value" in got[2] or "expected comma-separated integers" in got[2]
+
+
 def test_mukai_lattice_from_file(capsys, tmp_path):
     path = tmp_path / "l26.json"
     path.write_text(lattice_to_json(kuznetsov_rank3_lattice(26)))
@@ -674,6 +720,7 @@ def test_closed_stdout_exits_1_without_traceback():
     # (argv, bytes read before closing): the help texts fit in one write
     cases = [
         (["admissible", "--max", "200000", "--json"], 10),
+        (["admissible", "--max", "200000", "--verbose"], 10),
         (["--help"], 0),
         (["mukai", "--help"], 0),
     ]

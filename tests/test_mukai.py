@@ -10,13 +10,21 @@ import pytest
 from cubiclat import mukai
 from cubiclat.chow import QuadraticForm6
 from cubiclat.errors import DegenerateGramError, ParityError
-from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, dot, sign_normalize
+from cubiclat.exactlinalg import (
+    IntMatrix,
+    coord_key,
+    determinant,
+    dot,
+    kernel_basis,
+    sign_normalize,
+)
 from cubiclat.lattices import (
     Lattice,
     direct_sum,
     e8,
     hyperbolic_plane,
     inner_product,
+    lattice_by_name,
     odd_unimodular,
     orthogonal_complement,
     z_lattice,
@@ -425,13 +433,45 @@ def test_normalize_after_search_on_random_congruences():
         assert determinant(gram) == determinant(L.gram)
 
 
+# (catalog name, v, v', basis) with vectors as {index: nonzero entry}: v is
+# isotropic in the U summands, and v' is shifted by vectors of the other
+# summands, so the basis change is not a permutation
+NORMALIZE_PINS = [
+    ("K3", {16: 1}, {0: 1, 16: 2, 17: 1},
+     [{16: 1}, {0: 1, 16: 1, 17: 1}, {1: 1}, *({i: 1} for i in range(3, 16)),
+      {2: 1, 16: -1}, {0: 1, 2: 2}, {18: 1}, {19: 1}, {20: 1}, {21: 1}]),
+    ("Mukai", {16: 1, 18: 1}, {0: 1, 1: 1, 17: 1},
+     [{16: 1, 18: 1}, {0: 1, 1: 1, 16: -2, 17: 1, 18: -2}, {1: 1, 2: 2}, {2: 1, 3: -1},
+      *({i: 1} for i in range(4, 16)), {2: 1, 16: 1}, {0: 1, 2: 2}, {18: 1},
+      {17: 1, 19: -1}, {20: 1}, {21: 1}, {22: 1}, {23: 1}]),
+    ("Gamma", {18: 1}, {2: 1, 16: -1, 19: 1, 21: 1},
+     [{18: 1}, {2: 1, 16: -1, 18: -2, 19: 1, 21: 1}, {2: 1, 3: 2}, {1: 1},
+      *({i: 1} for i in range(4, 17)), {3: 1, 17: -1}, {3: 1, 18: 1}, {0: 1, 3: -1},
+      {3: 1, 20: -1}, {3: 2, 21: 1}]),
+]
+
+
+@pytest.mark.parametrize("name, v, vp, expected", NORMALIZE_PINS, ids=[p[0] for p in NORMALIZE_PINS])
+def test_normalize_is_pinned_above_rank_3(name, v, vp, expected):
+    L = lattice_by_name(name)
+
+    def dense(entries):
+        return tuple(entries.get(i, 0) for i in range(L.rank))
+
+    basis, gram = hyperbolic_normalize(L, dense(v), dense(vp))
+    B = IntMatrix([dense(b) for b in expected])
+    assert [b.coords for b in basis] == list(B.rows)
+    assert gram == B @ L.gram @ B.transpose()
+    assert [r[:2] for r in gram.rows[:2]] == [(0, 1), (1, 0)]
+    assert determinant(gram) == determinant(L.gram)
+
+
 def test_normalize_checks_the_basis_before_returning_it(monkeypatch):
     # a doubled complement generator leaves a basis of index 2
-    def doubled(L, vectors):
-        sub, basis = orthogonal_complement(L, vectors)
-        return sub, [L.vec([2 * a for a in b.coords]) for b in basis]
+    def doubled(M):
+        return [tuple(2 * a for a in b) for b in kernel_basis(M)]
 
-    monkeypatch.setattr(mukai, "orthogonal_complement", doubled)
+    monkeypatch.setattr(mukai, "kernel_basis", doubled)
     with pytest.raises(RuntimeError, match="internal error: basis .* is not unimodular"):
         hyperbolic_normalize(L26, (1, 3, 1), (1, 0, 0))
 
