@@ -27,7 +27,7 @@ from math import isqrt
 MAX_D = 10**7
 
 #: largest range the command line reports d by d (``admissible --verbose``);
-#: at 2 * 10^5 either form prints in about 1 s: JSON 27 MB in 160 MB, human 16 MB in 170 MB
+#: at 2 * 10^5 either form prints in about 1 s: JSON 27 MB in 160 MB, human 16 MB in 115 MB
 MAX_VERBOSE_D = 2 * 10**5
 
 #: (d, satisfies_star, satisfies_star_star, genus, witness)

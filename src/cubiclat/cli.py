@@ -30,7 +30,7 @@ import traceback
 from itertools import chain, tee
 from operator import itemgetter
 
-from . import admissibility, chow, cohomology, mukai
+from . import admissibility, chow, cohomology, lattices, mukai
 from .errors import CubiclatError, LatticeFormatError
 from .lattices import (
     Lattice,
@@ -191,7 +191,7 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
             doc = {"command": command, "status": "ok", "payload": payload}
             text = _json_text(doc, "\n")
         else:
-            text = "\n".join(human_lines(payload))
+            text = _human_text(payload, "")
     except ValueError as e:
         # str() refuses an int longer than the interpreter's digit limit
         raise ValueError("the result holds an integer too long to print") from e
@@ -276,20 +276,20 @@ def _scalar_rows_text(rows, pad: str) -> str | None:
     return ("," + pad).join(map(template.__mod__, zip(*[texts] * len(names))))
 
 
-def human_lines(payload: dict, indent: str = "") -> list[str]:
+def _human_text(payload: dict, indent: str) -> str:
+    """The lines of the human rendering, joined, one string per dict; no payload holds an empty one."""
+    inner, dash = indent + "  ", indent + "  -"
     out = []
     for key, value in payload.items():
         if isinstance(value, dict):
-            out.append(f"{indent}{key}:")
-            out.extend(human_lines(value, indent + "  "))
+            out += (f"{indent}{key}:", _human_text(value, inner))
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             out.append(f"{indent}{key}:")
             for item in value:
-                out.extend(human_lines(item, indent + "  "))
-                out.append(f"{indent}  -")
+                out += (_human_text(item, inner), dash)
         else:
             out.append(f"{indent}{key}: {value}")
-    return out
+    return "\n".join(out)
 
 
 def _integer(text: str) -> int:
@@ -344,6 +344,7 @@ def _parser() -> argparse.ArgumentParser:
         "--json", action="store_true", default=False, help="emit a stable JSON payload"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source_help = f"catalog name ({', '.join(entry[0] for entry in lattices.CATALOG)}) or lattice file path"
 
     def admissible(a):
         if a.max < 1:
@@ -362,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", parents=[common], help="lattice catalog and files")
     lsub = p.add_subparsers(dest="lattice_command", required=True)
     q = lsub.add_parser("info", parents=[common], help="rank, determinant, signature, discriminant group")
-    q.add_argument("source", help="catalog name (Gamma, E8, U, ...) or lattice file path")
+    q.add_argument("source", help=source_help)
     q.set_defaults(run=lambda a: ("lattice info", lattice_info_payload(resolve_lattice(a.source))))
 
     p = sub.add_parser("mukai", parents=[common], help="rank-3 lattices and isotropic triples")
@@ -372,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
         return "mukai verify", mukai_verify_payload(resolve_lattice(a.lattice), a.v, a.vp, a.w, a.d)
 
     q = msub.add_parser("verify", parents=[common], help="check the four triple conditions")
-    q.add_argument("--lattice", required=True)
+    q.add_argument("--lattice", required=True, help=source_help)
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
     q.add_argument("--w", type=_vector, required=True)
@@ -385,7 +386,7 @@ def _parser() -> argparse.ArgumentParser:
         return "mukai search", mukai_search_payload(resolve_lattice(a.lattice), a.d, a.bound)
 
     q = msub.add_parser("search", parents=[common], help="search a coordinate box for a triple")
-    q.add_argument("--lattice", required=True)
+    q.add_argument("--lattice", required=True, help=source_help)
     q.add_argument("--d", type=_integer, required=True)
     q.add_argument("--bound", type=_integer, default=25)
     q.set_defaults(run=search)
@@ -397,7 +398,7 @@ def _parser() -> argparse.ArgumentParser:
         return "mukai normalize", mukai_normalize_payload(resolve_lattice(a.lattice), a.v, a.vp)
 
     q = msub.add_parser("normalize", parents=[common], help="split off the hyperbolic plane of (v, v')")
-    q.add_argument("--lattice", required=True)
+    q.add_argument("--lattice", required=True, help=source_help)
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
     q.set_defaults(run=normalize)

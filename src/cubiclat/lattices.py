@@ -336,6 +336,8 @@ def vectors_with_norm(
 ISOMETRIC = "isometric"
 NOT_ISOMETRIC = "not_isometric"
 NOT_FOUND_WITHIN_BOUND = "not_found_within_bound"
+#: last box side of an indefinite isometry search, as ``mukai.MAX_BOUND``; a box costs about side^2
+MAX_ISOMETRY_BOUND = 200
 
 
 @dataclass(frozen=True)
@@ -410,8 +412,8 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
     x_i^2 <= c adj(G1)_ii / det G1, and a search up to it without a
     witness answers ``not_isometric`` with reason ``"exhaustive"``.
     Otherwise ``top`` is the rank times the largest |entry| of either
-    Gram, and a search up to it without a witness answers
-    ``not_found_within_bound``.
+    Gram, at most ``MAX_ISOMETRY_BOUND``, and a search up to it without a
+    witness answers ``not_found_within_bound``.
     """
     if max(L1.rank, L2.rank) > 3:
         raise ValueError("is_isometric_small supports ranks up to 3")
@@ -435,11 +437,10 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
         return IsometryResult(ISOMETRIC, map=IntMatrix.identity(L1.rank))
 
     n, g = L1.rank, L1.gram.rows
-    radius = None
+    top = min(MAX_ISOMETRY_BOUND, max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs())))
     if 0 in sig:
         adj = [determinant(IntMatrix([r[:i] + r[i + 1 :] for r in g[:i] + g[i + 1 :]])) for i in range(n)]
-        radius = max(math.isqrt(L2.gram.rows[j][j] * a // det1) for j in range(n) for a in adj)
-    top = radius if radius is not None else max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs()))
+        top = max(math.isqrt(L2.gram.rows[j][j] * a // det1) for j in range(n) for a in adj)
     b = 1
     while True:
         b = min(b, top)
@@ -449,9 +450,9 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
             if T.transpose() @ L1.gram @ T != L2.gram:
                 raise RuntimeError(f"internal error: {T} is not an isometry")
             return IsometryResult(ISOMETRIC, map=T)
-        if radius is not None and b >= radius:
-            return IsometryResult(NOT_ISOMETRIC, reason="exhaustive")
         if b >= top:
+            if 0 in sig:
+                return IsometryResult(NOT_ISOMETRIC, reason="exhaustive")
             return IsometryResult(NOT_FOUND_WITHIN_BOUND)
         b *= 2
 
@@ -517,58 +518,6 @@ def kuznetsov_rank3_lattice(d: int) -> Lattice:
     if d == 42:
         return Lattice(3, IntMatrix([[-2, 1, 0], [1, -2, 0], [0, 0, 14]]), label="L42")
     raise ValueError("built-in lattices exist for d = 26 and d = 42 only")
-
-
-#: fixed catalog names, matched case-insensitively
-_NAMED = {
-    "e8": e8,
-    "u": hyperbolic_plane,
-    "a2": a2,
-    "gamma": cubic_lattice,
-    "k3": k3_lattice,
-    "mukai": mukai_lattice,
-    "i21_2": middle_lattice,
-    "i(21,2)": middle_lattice,
-    "l26": lambda: kuznetsov_rank3_lattice(26),
-    "l42": lambda: kuznetsov_rank3_lattice(42),
-}
-
-
-def _catalog_odd_unimodular(p: int, q: int) -> Lattice:
-    if p + q > MAX_RANK:
-        raise ValueError(f"I(p,q) requires p + q <= {MAX_RANK}")
-    return odd_unimodular(p, q)
-
-
-#: parameterized catalog names; the integer groups are the constructor's arguments
-_PATTERNS = (
-    (re.compile(r"^Z\((-?\d+)\)$", re.ASCII), z_lattice),
-    (re.compile(r"^I\((\d+),(\d+)\)$", re.ASCII), _catalog_odd_unimodular),
-    (re.compile(r"^Lambda_(\d+)$", re.ASCII | re.IGNORECASE), k3_polarized_primitive),
-)
-
-
-def lattice_by_name(name: str) -> Lattice:
-    """Resolve a catalog name to a lattice.
-
-    Knows ``E8``, ``U``, ``A2``, ``Gamma``, ``K3``, ``Mukai``, ``I21_2``,
-    ``L26`` and ``L42`` in any case, plus ``Z(n)`` for nonzero n,
-    ``I(p,q)`` for p, q >= 0 not both zero with p + q <= ``MAX_RANK``,
-    and ``Lambda_<d>`` for d >= 1.  An integer argument of more than
-    ``MAX_INT_DIGITS`` digits, sign not counted, is refused before it is
-    converted, as in a file.  Anything else raises ``ValueError``.
-    """
-    key = name.strip()
-    build = _NAMED.get(key.lower())
-    if build is not None:
-        return build()
-    for pattern, build in _PATTERNS:
-        m = pattern.match(key)
-        if m:
-            if any(len(g.lstrip("-")) > MAX_INT_DIGITS for g in m.groups()):
-                raise ValueError(f"integer with more than {MAX_INT_DIGITS} digits")
-            return build(*map(int, m.groups()))
-    raise ValueError(f"unknown lattice name: {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +615,52 @@ def load_lattice(path: str) -> Lattice:
 def save_lattice(L: Lattice, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(lattice_to_json(L))
+
+
+# ---------------------------------------------------------------------------
+# the catalog
+
+
+def _catalog_odd_unimodular(p: int, q: int) -> Lattice:
+    if p + q > MAX_RANK:
+        raise ValueError(f"I(p,q) requires p + q <= {MAX_RANK}")
+    return odd_unimodular(p, q)
+
+
+# re.ASCII: no other script's digits, no look-alike such as the Kelvin sign for K
+_ANY_CASE, _AS_SHOWN = re.ASCII | re.IGNORECASE, re.ASCII
+
+#: every catalog name as (display name, pattern, builder, description); the
+#: groups of a pattern are its builder's integer arguments
+CATALOG = (
+    ("E8", re.compile(r"E8", _ANY_CASE), e8, "positive definite even unimodular, rank 8"),
+    ("U", re.compile(r"U", _ANY_CASE), hyperbolic_plane, "hyperbolic plane [[0,1],[1,0]]"),
+    ("A2", re.compile(r"A2", _ANY_CASE), a2, "[[2,-1],[-1,2]]"),
+    ("Z(n)", re.compile(r"Z\((-?\d+)\)", _AS_SHOWN), z_lattice, "rank 1, Gram [[n]], n != 0"),
+    ("I(p,q)", re.compile(r"I\((\d+),(\d+)\)", _AS_SHOWN), _catalog_odd_unimodular,
+     f"odd unimodular, diagonal +1^p, -1^q, 0 < p + q <= {MAX_RANK}"),
+    ("Gamma", re.compile(r"Gamma", _ANY_CASE), cubic_lattice, "E8 + E8 + U + U + A2, rank 22"),
+    ("K3", re.compile(r"K3", _ANY_CASE), k3_lattice, "E8(-1) + E8(-1) + U + U + U, rank 22"),
+    ("Mukai", re.compile(r"Mukai", _ANY_CASE), mukai_lattice, "E8 + E8 + U + U + U + U, rank 24"),
+    ("Lambda_d", re.compile(r"Lambda_(\d+)", _ANY_CASE), k3_polarized_primitive,
+     "E8(-1) + E8(-1) + U + U + Z(-d), rank 22, d >= 1"),
+    ("I21_2", re.compile(r"I21_2|I\(21,2\)", _ANY_CASE), middle_lattice, "I(21,2), rank 23"),
+    ("L26", re.compile(r"L26", _ANY_CASE), lambda: kuznetsov_rank3_lattice(26),
+     "rank 3, determinant 26, on the basis (lambda1, lambda2, tau)"),
+    ("L42", re.compile(r"L42", _ANY_CASE), lambda: kuznetsov_rank3_lattice(42),
+     "rank 3, determinant 42, on the basis (lambda1, lambda2, tau)"),
+)
+
+
+def lattice_by_name(name: str) -> Lattice:
+    """Resolve a name, surrounding whitespace ignored, by the first entry of
+    ``CATALOG`` whose pattern matches all of it, or raise ``ValueError``; an
+    integer argument of more than ``MAX_INT_DIGITS`` digits, sign not
+    counted, is refused before it is converted, as in a file."""
+    key = name.strip()
+    for _, pattern, build, _ in CATALOG:
+        if m := pattern.fullmatch(key):
+            if any(len(g.lstrip("-")) > MAX_INT_DIGITS for g in m.groups()):
+                raise ValueError(f"integer with more than {MAX_INT_DIGITS} digits")
+            return build(*map(int, m.groups()))
+    raise ValueError(f"unknown lattice name: {name!r}")

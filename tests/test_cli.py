@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubiclat import admissibility, chow, cli, mukai
+from cubiclat import admissibility, chow, cli, lattices, mukai
 from cubiclat.exactlinalg import IntMatrix, determinant
 from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
 from cubiclat.mukai import kuznetsov_rank3_lattice
@@ -264,13 +264,26 @@ def test_lattice_info_rejected_catalog_argument_gives_reason(capsys, name, reaso
         pytest.param("Z(\u0663)", id="Z_arabic_indic_3"),
         pytest.param("I(\u0662,1)", id="I_arabic_indic_2"),
         pytest.param("Lambda_\uff12\uff16", id="Lambda_fullwidth_26"),
+        # the Kelvin sign lower-cases to k, but is not the K of a name
+        pytest.param("\u212a3", id="K3_kelvin_sign"),
+        pytest.param("MU\u212aAI", id="MUKAI_kelvin_sign"),
     ],
 )
 def test_lattice_info_catalog_takes_ascii_digits_only(capsys, name):
-    # a lattice file accepts ASCII digits only, and so does a catalog name
+    # a lattice file accepts ASCII digits only, and a catalog name ASCII
+    # letters and digits only
     code, out, err = run(capsys, "lattice", "info", name, "--json")
     assert (code, out) == (3, "")
     assert err.startswith("error: unknown lattice name")
+
+
+@pytest.mark.parametrize(
+    "argv", [["lattice", "info"], ["mukai", "verify"], ["mukai", "search"], ["mukai", "normalize"]]
+)
+def test_lattice_help_names_every_catalog_entry(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--help")
+    # argparse wraps help at spaces, and no display name holds one
+    assert code == 0 and all(name in out for name, *_ in lattices.CATALOG)
 
 
 def test_lattice_info_degenerate_exit_4(capsys, tmp_path):

@@ -10,10 +10,12 @@ to a byte of either is a change of observable behaviour.
 
 import json
 import pathlib
+import re
 
 import pytest
 
 from cubiclat import cli
+from cubiclat.lattices import lattice_by_name
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 GOLDEN_HUMAN = pathlib.Path(__file__).with_name("golden_cli_human.json")
@@ -27,6 +29,19 @@ NAMES = [
     # rejected: not a catalog name and no such file
     "Z(0)", "I(0,0)", "Lambda_0", "F4", "z(5)", "i(2,1)", "Lambda_-2", "L14", "",
 ]
+
+#: what ``lattice_by_name`` says of each rejected name of NAMES
+REJECTED = {
+    "Z(0)": "Z(n) requires nonzero n",
+    "I(0,0)": "I(0,0) is empty and not supported",
+    "Lambda_0": "degree d must be positive",
+    "F4": "unknown lattice name: 'F4'",
+    "z(5)": "unknown lattice name: 'z(5)'",
+    "i(2,1)": "unknown lattice name: 'i(2,1)'",
+    "Lambda_-2": "unknown lattice name: 'Lambda_-2'",
+    "L14": "unknown lattice name: 'L14'",
+    "": "unknown lattice name: ''",
+}
 
 SEARCHES = [
     ("L26", "26", "3"), ("L26", "26", "5"), ("L26", "26", "10"), ("L26", "26", "25"),
@@ -110,3 +125,38 @@ def test_golden_cli_output(capsys, entry):
 def test_golden_cli_human_output(capsys, entry):
     code = cli.main(list(entry["argv"]))
     assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
+
+
+def golden_lattice_info():
+    """The payload of each `lattice info NAME --json` entry that exits 0."""
+    return {
+        e["argv"][2]: json.loads(e["stdout"])["payload"]
+        for e in json.loads(GOLDEN.read_text())
+        if e["argv"][:2] == ["lattice", "info"] and e["exit"] == 0
+    }
+
+
+def test_catalog_resolves_every_name_as_its_golden_entry():
+    accepted = golden_lattice_info()
+    assert sorted(accepted) == sorted(n for n in NAMES if n not in REJECTED)
+    for name in NAMES:
+        if name in REJECTED:
+            with pytest.raises(ValueError) as err:
+                lattice_by_name(name)
+            assert str(err.value) == REJECTED[name]
+        else:
+            L = lattice_by_name(name)
+            assert (L.gram.to_lists(), L.label) == (accepted[name]["gram"], accepted[name]["label"])
+
+
+def test_catalog_case_variants_resolve_as_their_name():
+    # fixed names match in any case; Z(n) and I(p,q) only with a capital
+    for name, payload in golden_lattice_info().items():
+        as_shown = re.fullmatch(r"\s*[ZI]\(.*", name) and name.strip() != "I(21,2)"
+        for variant in (name.lower(), name.upper(), name.swapcase()):
+            if as_shown and not variant.strip()[0].isupper():
+                with pytest.raises(ValueError, match="^unknown lattice name"):
+                    lattice_by_name(variant)
+            else:
+                L = lattice_by_name(variant)
+                assert (L.gram.to_lists(), L.label) == (payload["gram"], payload["label"])

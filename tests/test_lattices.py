@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import pathlib
 import random
 import sys
+import time
 
 import pytest
 import sympy as sp
@@ -477,6 +479,16 @@ def test_isometry_not_found_within_bound():
     assert res.map is None
 
 
+def test_isometry_indefinite_box_is_capped():
+    # equal rank, determinant, signature, cyclic group and parity (both odd);
+    # uncapped, the box would grow to 3 * 1002
+    diag = lambda *d: Lattice(3, IntMatrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)]))
+    start = time.perf_counter()
+    res = is_isometric_small(diag(1, 1, -1002), diag(1, 2, -501))
+    assert (res.status, res.map) == (NOT_FOUND_WITHIN_BOUND, None)
+    assert time.perf_counter() - start < 5
+
+
 def test_isometry_definite_exhaustive():
     # both odd, positive definite, det 5 with group Z/5, yet 1 is a norm
     # of the first and not of the second; radius 1 holds every column
@@ -685,6 +697,13 @@ def test_lattice_by_name():
     assert lattice_by_name("U") == hyperbolic_plane()
     with pytest.raises(ValueError):
         lattice_by_name("nonsense")
+
+
+def test_readme_catalog_table_lists_the_catalog():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Catalog names understood")[1].split("\n\n")[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+    assert rows == [[f"`{name}`", description] for name, _, _, description in lattices.CATALOG]
 
 
 def test_lattice_equality_ignores_label():
