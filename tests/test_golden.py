@@ -5,7 +5,9 @@ stdout and exit code of ``cubiclat``.  It covers every subcommand, every
 catalog name with its accepted case variants and rejected look-alikes,
 and the pinned isotropic-triple searches.  ``golden_cli_human.json`` does
 the same for the human-readable rendering of ``HUMAN_CASES``.  Any change
-to a byte of either is a change of observable behaviour.
+to a byte of either is a change of observable behaviour.  The catalog
+tests hold ``lattice_by_name`` to the ``lattice info`` entries of
+``NAMES`` and their case variants, and to the reason of each rejection.
 """
 
 import json
