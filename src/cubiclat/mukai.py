@@ -47,8 +47,7 @@ from .lattices import (
     _coerce_coords,
     basis_gram,
     discriminant_group,
-    integer_solutions,
-    vectors_with_norm,
+    solutions_by_shell,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
 
@@ -116,11 +115,12 @@ IMPOSSIBLE = "impossible"
 
 #: largest ``--bound`` the command line accepts.  A search that fails the
 #: certificate returns at once at any bound (0.03 ms for d = 27 on L26);
-#: one that passes it lists the box's isotropic vectors, about bound^2
-#: work, and takes each one's w from a line, about bound.  At 200 that
-#: took 0.09-0.13 s to find the L26 triple for d = 26, 0.05-0.07 s to find
-#: none for d = 26 * 300^2, and at most 0.36 s on twelve conjugates of
-#: U + Z(-e) (Python 3.11, 2 vCPUs)
+#: one that passes it walks the isotropic vectors shell by shell, takes
+#: each one's w from a line, about bound work, and lists the whole box,
+#: about bound^2, only past shell bound // 4.  At 200 that took 1.5 ms to
+#: find the L26 triple for d = 26, at most 2.4 ms on twelve conjugates of
+#: U + Z(-e), and 80-100 ms to find none for d = 26 * 300^2 (Python 3.11,
+#: 2 vCPUs)
 MAX_BOUND = 200
 
 
@@ -141,9 +141,8 @@ class TripleSearch:
 
 
 def _min_dual_one(gv: Sequence[int], bound: int) -> tuple[int, ...] | None:
-    """Canonically smallest x in the box with <gv, x> = 1."""
-    zero = [(0,) * len(gv)] * len(gv)
-    return min(integer_solutions(zero, gv, 1, bound), key=coord_key, default=None)
+    """Canonically smallest x in the box with <gv, x> = 1: the first of the walk."""
+    return next(solutions_by_shell(((0, 0, 0),) * 3, gv, 1, bound), None)
 
 
 def _min_w(v: Sequence[int], gv: Sequence[int], k: int, bound: int) -> tuple[int, ...] | None:
@@ -194,12 +193,14 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
 
     Otherwise candidates for v are the isotropic vectors with all
     coordinates bounded by ``bound`` and gcd(G v) = 1, which makes v
-    primitive, taken in canonical order; w is the canonically first box
-    vector orthogonal to v of norm -d, found on its line a v + k g with
+    primitive, taken in canonical order from the L1 shell walk of
+    ``solutions_by_shell``; w is the canonically first box vector
+    orthogonal to v of norm -d, found on its line a v + k g with
     k^2 = d / det L, and for a v with such a w the minimal completing v'
-    is sought in the same box.  The first fully completed candidate wins.
-    A found triple is checked against its four conditions before it is
-    returned.
+    is the first solution of <G v, v'> = 1 on the same walk.  The first
+    fully completed candidate wins, so a found triple costs the shells up
+    to its v and v', not the box.  A found triple is checked against its
+    four conditions before it is returned.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")
@@ -228,12 +229,16 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
         )
 
     k = math.isqrt(d // det)
-    for v in vectors_with_norm(L.gram, 0, bound, canonical=True):
+    for v in solutions_by_shell(L.gram.rows, (0, 0, 0), 0, bound):
+        # the walk yields x and -x; tuples compare lexicographically, so
+        # v > 0 keeps the one whose first nonzero entry is positive
+        if v <= (0, 0, 0):
+            continue
         gv = L.gram.mul_vec(v)
         # gcd(gv) = 1 iff some v' has <gv, v'> = 1 (Bezout); it makes v primitive
         if math.gcd(*gv) != 1:
             continue
-        # w before v': w lies on a line, while each v' scans the box
+        # w before v': w lies on a line, while a v' far out lists the box
         w = _min_w(v, gv, k, bound)
         if w is None:
             continue

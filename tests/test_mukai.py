@@ -211,6 +211,19 @@ def test_find_certificate_is_instant_at_max_bound():
     assert res.status == IMPOSSIBLE
 
 
+def test_find_with_huge_entries_walks_shells_at_max_bound():
+    # v, v' and w lie on shell 1; the parent listed the box twice (0.95 s)
+    e = 10**600 + 1
+    L = direct_sum([hyperbolic_plane(), z_lattice(-e)])
+    start = time.perf_counter()
+    res = find_isotropic_triple(L, e, MAX_BOUND)
+    assert time.perf_counter() - start < 0.1
+    assert res.status == FOUND
+    assert (res.triple.v.coords, res.triple.vprime.coords, res.triple.w.coords) == (
+        (0, 1, 0), (1, 0, 0), (0, 0, 1)
+    )
+
+
 def test_find_checks_the_triple_before_returning_it(monkeypatch):
     # a v' that pairs to 2 with v must not come back as a found triple
     monkeypatch.setattr(mukai, "_min_dual_one", lambda gv, bound: (2, 2, 0))
