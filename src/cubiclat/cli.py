@@ -293,8 +293,8 @@ def _human_text(payload: dict, indent: str) -> str:
 
 
 def _integer(text: str) -> int:
-    """Optionally signed ASCII digits; ``int`` also reads other digits and ``_``."""
-    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+    """Optionally signed ASCII digits amid ASCII whitespace; ``int`` also reads other digits, spaces and ``_``."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
         with contextlib.suppress(ValueError):  # past the interpreter's digit limit
             return int(text)
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")

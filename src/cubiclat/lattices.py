@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegenerateGramError, LatticeFormatError
 from .exactlinalg import (
@@ -255,8 +255,9 @@ def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
 # is recovered by solving an integer quadratic (or linear) equation, so only
 # O(bound^(rank-1)) work is done instead of scanning the full box.  It lists
 # the box at once (``integer_solutions``, for callers that need every
-# solution) or, at rank 3, lazily in canonical order (``solutions_by_shell``,
-# for callers that stop at the first solution they can use).
+# solution) or lazily in canonical order from growing boxes
+# (``solutions_by_shell``, for callers that stop at the first solution they
+# can use).
 
 
 def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, ...]]:
@@ -315,75 +316,37 @@ def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, .
     return out if m else [y[1:] for y in out]
 
 
-#: ``solutions_by_shell`` walks the shells up to bound // WALK_DIVISOR.  On
-#: L26 at bounds 20-200 that walk took 15-17 % of the time of listing the
-#: box (Python 3.11, 2 vCPUs), and the canonical triples of L26 and L42
-#: have their v on shells 3 and 4
-WALK_DIVISOR = 4
+#: ratio of the sides of the boxes ``solutions_by_shell`` lists.  The
+#: canonical triples of L26 and L42 have v on shells 3 and 4, so a search
+#: finds them in the box of side 4; growth 4 keeps the walked boxes of a
+#: not-found search at about a third of the last box's cost at most
+WALK_GROWTH = 4
 
 
 def solutions_by_shell(gram, linear, value: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """The solutions of ``integer_solutions`` at rank 3, lazily, in canonical order.
+    """The solutions of ``integer_solutions``, lazily, in canonical order.
 
-    Shell s holds the x with |x_0| + |x_1| + |x_2| = s.  For each x_0 the
-    points with |x_1| + |x_2| = r = s - |x_0| lie on four half-open
-    segments p + u q, u = 0 .. r - 1, and on each the equation is
-    A u^2 + B u + C = 0 with A = q^T G q, solved by one isqrt.  Shells up
-    to s cost about 4 s^2 solves, so a caller that stops at a solution
-    pays only for the shells up to it.  Walking on to shell 3 bound would
-    cost several box listings, so past shell bound // WALK_DIVISOR the
-    rest of the box is listed once by ``integer_solutions`` and sorted;
-    the walk adds about a sixth to the cost of that list.
+    Every x of L1 norm at most b lies in the box of side b, so once that
+    box is listed and sorted its solutions of L1 norm at most b are final.
+    The walk lists boxes of side 1, WALK_GROWTH, WALK_GROWTH^2, ... while
+    twice the side is at most ``bound``, then the box of side ``bound``,
+    and yields from each the solutions past the previous side.  A caller
+    that stops at a solution of L1 norm s pays for boxes of side below
+    2 WALK_GROWTH s; one that reads on pays for the box and, at rank 3,
+    about a third more at most.  Like ``integer_solutions`` it takes
+    ranks 1 to 3.
     """
-    if len(linear) != 3 or len(gram) != 3:
-        raise ValueError("solutions_by_shell supports rank 3 only")
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
-    l0, l1, l2 = linear
-    # A = q^T G q and the parts of B that grow with r, by direction q
-    a_minus, a_plus = g11 + g22 - 2 * g12, g11 + g22 + 2 * g12
-    h, k = 2 * (g12 - g22), 2 * (g11 + g12)
-    # r <= s <= bound, so every walked point lies in the box
-    last = bound // WALK_DIVISOR
-    for s in range(last + 1):
-        shell = []
-        for x0 in range(-s, s + 1):
-            r = s - abs(x0)
-            # with x0 fixed, the form minus value is c + e1 y + e2 z + g11 y^2 + 2 g12 y z + g22 z^2
-            c, e1, e2 = (g00 * x0 + l0) * x0 - value, 2 * g01 * x0 + l1, 2 * g02 * x0 + l2
-            if r == 0:
-                if c == 0:
-                    shell.append((x0, 0, 0))
-                continue
-            m, p, hr, kr, cz, cy = e1 - e2, e1 + e2, h * r, k * r, c + g22 * r * r, c + g11 * r * r
-            # start (y, z), direction (dy, dz), then A, B, C of the segment
-            for y, z, dy, dz, a, b, cu in (
-                (0, r, 1, -1, a_minus, m + hr, cz + e2 * r),
-                (r, 0, -1, -1, a_plus, -p - kr, cy + e1 * r),
-                (0, -r, -1, 1, a_minus, hr - m, cz - e2 * r),
-                (-r, 0, 1, 1, a_plus, p - kr, cy - e1 * r),
-            ):
-                for u in _roots(a, b, cu, r - 1):
-                    shell.append((x0, y + dy * u, z + dz * u))
-        shell.sort()
-        yield from shell
-    # (L1 norm, x) sorts as coord_key does
-    rest = sorted((sum(map(abs, x)), x) for x in integer_solutions(gram, linear, value, bound))
-    yield from (x for n, x in rest if n > last)
-
-
-def _roots(a: int, b: int, c: int, hi: int) -> Iterable[int]:
-    """The integers u in [0, hi] with a u^2 + b u + c = 0."""
-    if a:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return ()
-        s = math.isqrt(disc)
-        if s * s != disc:
-            return ()
-        return [n // (2 * a) for n in {-b - s, -b + s} if n % (2 * a) == 0 and 0 <= n // (2 * a) <= hi]
-    if b:
-        return (-c // b,) if c % b == 0 and 0 <= -c // b <= hi else ()
-    return range(hi + 1) if c == 0 else ()
+    done, side = -1, 1
+    while True:
+        last = 2 * side > bound
+        if last:
+            side = bound
+        # (L1 norm, x) sorts as coord_key does
+        found = sorted((sum(map(abs, x)), x) for x in integer_solutions(gram, linear, value, side))
+        yield from (x for n, x in found if done < n and (last or n <= side))
+        if last:
+            return
+        done, side = side, side * WALK_GROWTH
 
 
 def vectors_with_norm(gram: IntMatrix, value: int, bound: int) -> list[tuple[int, ...]]:

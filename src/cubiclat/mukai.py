@@ -115,11 +115,12 @@ IMPOSSIBLE = "impossible"
 
 #: largest ``--bound`` the command line accepts.  A search that fails the
 #: certificate returns at once at any bound (0.03 ms for d = 27 on L26);
-#: one that passes it walks the isotropic vectors shell by shell, takes
-#: each one's w from a line, about bound work, and lists the whole box,
-#: about bound^2, only past shell bound // 4.  At 200 that took 1.5 ms to
-#: find the L26 triple for d = 26, at most 2.4 ms on twelve conjugates of
-#: U + Z(-e), and 80-100 ms to find none for d = 26 * 300^2 (Python 3.11,
+#: one that passes it takes the isotropic vectors from boxes of side 1, 4,
+#: 16, ..., so a found triple costs the boxes up to the first that holds
+#: its v and v', plus a line of about bound points per v for w; finding
+#: none lists the box, about bound^2.  At 200 that took 1.0-1.2 ms to find
+#: the L26 triple for d = 26, at most 1.7 ms on twelve conjugates of
+#: U + Z(-e), and 60-90 ms to find none for d = 26 * 300^2 (Python 3.11,
 #: 2 vCPUs)
 MAX_BOUND = 200
 
@@ -193,14 +194,14 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
 
     Otherwise candidates for v are the isotropic vectors with all
     coordinates bounded by ``bound`` and gcd(G v) = 1, which makes v
-    primitive, taken in canonical order from the L1 shell walk of
+    primitive, taken in canonical order from the growing boxes of
     ``solutions_by_shell``; w is the canonically first box vector
     orthogonal to v of norm -d, found on its line a v + k g with
     k^2 = d / det L, and for a v with such a w the minimal completing v'
     is the first solution of <G v, v'> = 1 on the same walk.  The first
-    fully completed candidate wins, so a found triple costs the shells up
-    to its v and v', not the box.  A found triple is checked against its
-    four conditions before it is returned.
+    fully completed candidate wins, so a found triple costs the boxes up
+    to the first that holds its v and v', not the whole box.  A found
+    triple is checked against its four conditions before it is returned.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")

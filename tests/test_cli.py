@@ -421,6 +421,7 @@ FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uf
         pytest.param(lambda s: s.translate(FULLWIDTH), False, id="fullwidth"),
         pytest.param(lambda s: "0_" + s, False, id="underscore"),
         pytest.param(lambda s: f" {s} ", True, id="spaces"),
+        pytest.param(lambda s: f"\u3000{s}\xa0", False, id="unicode_spaces"),
         pytest.param(lambda s: "+" + s, True, id="plus_sign"),
         pytest.param(lambda s: "00" + s, True, id="leading_zeros"),
     ],

@@ -384,93 +384,64 @@ def solve_branches(g, lin, value, solutions):
     return branches
 
 
-def segment_branches(g, lin, value, walked):
-    """Branches of the shell walk's segment solve A u^2 + B u + C = 0 that the walked solutions go through.
-
-    A solution x with r = |x_1| + |x_2| > 0 lies on the segment of its
-    quadrant, whose direction q gives A = q^T G q; with A = 0 the segment
-    is solved linearly, or taken whole when the form minus value is also
-    0 at x + q.
-    """
-    def f(x):
-        form = sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
-        return form + sum(a * b for a, b in zip(lin, x)) - value
-
-    branches = set()
-    for x in walked:
-        _, y, z = x
-        if y == z == 0:
-            continue
-        # the quadrants of the segments starting at (0, r), (r, 0), (0, -r), (-r, 0)
-        q = (1, -1) if y >= 0 < z else (-1, -1) if y > 0 >= z else (-1, 1) if z < 0 else (1, 1)
-        a = g[1][1] * q[0] ** 2 + 2 * g[1][2] * q[0] * q[1] + g[2][2] * q[1] ** 2
-        if a:
-            branches.add("quadratic")
-        else:
-            branches.add("whole segment" if f((x[0], y + q[0], z + q[1])) == 0 else "linear")
-    return branches
-
-
 def check_shell_walk(monkeypatch, g, lin, value, bound, expected):
-    """The walk lists the box in canonical order, with its default depth and walking every shell to bound."""
+    """The walk yields the box in canonical order, at the default growth and at growth 2.
+
+    Returns whether the default walk yields solutions both from a box it
+    walked and from the last box.
+    """
     canonical = sorted(expected, key=coord_key)
-    assert list(solutions_by_shell(g, lin, value, bound)) == canonical, (g, lin, value, bound)
+    sides = []
+
+    def listing(*args):
+        sides.append(args[-1])
+        return integer_solutions(*args)
+
     with monkeypatch.context() as m:
-        m.setattr(lattices, "WALK_DIVISOR", 1)
+        m.setattr(lattices, "integer_solutions", listing)
         assert list(solutions_by_shell(g, lin, value, bound)) == canonical, (g, lin, value, bound)
-    last = bound // lattices.WALK_DIVISOR
-    # the second walk reached every solution up to shell bound
-    walked = [x for x in canonical if sum(map(abs, x)) <= bound]
-    sides = {sum(map(abs, x)) <= last for x in canonical}
-    return segment_branches(g, lin, value, walked), sides
+        walked = sides[-2] if len(sides) > 1 else -1
+        m.setattr(lattices, "WALK_GROWTH", 2)
+        assert list(solutions_by_shell(g, lin, value, bound)) == canonical, (g, lin, value, bound)
+    return {sum(map(abs, x)) <= walked for x in canonical} == {True, False}
 
 
-def test_integer_solutions_match_box_scan(monkeypatch):
-    signs, branches, walk_branches, walk_sides = set(), set(), set(), set()
-    for kind, g, lin, value, bound in enumeration_cases(random.Random(6)):
-        expected = box_scan(g, lin, value, bound)
-        assert integer_solutions(g, lin, value, bound) == expected, (g, lin, value, bound)
-        branches |= solve_branches(g, lin, value, expected)
-        if kind == 1:
-            signs.add(value > 0)
-            got = vectors_with_norm(IntMatrix(g), value, bound)
-            assert got == sorted((x for x in expected if any(x)), key=coord_key)
-        if len(lin) == 3:
-            more, sides = check_shell_walk(monkeypatch, g, lin, value, bound, expected)
-            walk_branches |= more
-            walk_sides |= sides
-        if kind == 0 and len(lin) == 3:
-            best = min(box_scan(g, lin, 1, bound), key=coord_key, default=None)
-            assert _min_dual_one(lin, bound) == best, (lin, bound)
-    # rank 3 at bounds whose walk ends on shells 1 and 2 of boxes up to
-    # L1 = 27; kind 0 is _min_dual_one's zero Gram, and kinds 2 and 3 put
-    # A = 0 on the segments of two or all four directions
-    rng = random.Random(22)
-    for case in range(24):
-        kind, bound = case % 4, (4, 5, 8, 9)[case // 4 % 4]
+def walk_cases(rng):
+    """Seeded rank-3 (kind, G, l, c, bound) at bounds 8 and 9, where the default walk lists box 4 before the last box.
+
+    The kinds are those of ``enumeration_cases``, and kind 2 draws G and l
+    at random.
+    """
+    for case in range(12):
+        kind, bound = case % 3, (8, 9)[case // 3 % 2]
         g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         g = [[g[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
         if kind == 0:
             g = [[0] * 3 for _ in range(3)]
-        elif kind == 2:
-            # A = g11 + g22 - 2 g12 = 0 on the directions (1, -1) and (-1, 1)
-            g[2][2] = 2 * g[1][2] - g[1][1]
-        elif kind == 3:
-            # A = g11 + g22 +- 2 g12 = 0 on all four directions
-            g[1][2] = g[2][1] = 0
-            g[2][2] = -g[1][1]
         lin = [rng.randint(-2, 2) for _ in range(3)] if kind != 1 else [0, 0, 0]
         if kind == 0 and not any(lin):
             lin = [0, 1, 1]
-        value = rng.randint(-6, 6)
-        more, sides = check_shell_walk(monkeypatch, g, lin, value, bound, box_scan(g, lin, value, bound))
-        walk_branches |= more
-        walk_sides |= sides
+        yield kind, g, lin, rng.randint(-6, 6), bound
+
+
+def test_integer_solutions_match_box_scan(monkeypatch):
+    signs, branches, both_sides = set(), set(), False
+    cases = itertools.chain(enumeration_cases(random.Random(6)), walk_cases(random.Random(22)))
+    for kind, g, lin, value, bound in cases:
+        expected = box_scan(g, lin, value, bound)
+        assert integer_solutions(g, lin, value, bound) == expected, (g, lin, value, bound)
+        branches |= solve_branches(g, lin, value, expected)
+        both_sides |= check_shell_walk(monkeypatch, g, lin, value, bound, expected)
+        if kind == 1:
+            signs.add(value > 0)
+            got = vectors_with_norm(IntMatrix(g), value, bound)
+            assert got == sorted((x for x in expected if any(x)), key=coord_key)
+        if kind == 0 and len(lin) == 3:
+            best = min(box_scan(g, lin, 1, bound), key=coord_key, default=None)
+            assert _min_dual_one(lin, bound) == best, (lin, bound)
     assert signs == {True, False}
     assert branches == {"two roots, a > 0", "two roots, a < 0", "double root", "linear", "column"}
-    assert walk_branches == {"quadratic", "linear", "whole segment"}
-    # solutions on both sides of the last walked shell
-    assert walk_sides == {True, False}
+    assert both_sides
 
 
 def test_integer_solutions_reject_rank_0_and_4():
@@ -481,18 +452,11 @@ def test_integer_solutions_reject_rank_0_and_4():
         # the number of rows must equal the length of linear
         ([(1, 0), (0, 1)], (0,)),
         ([(1,)], (0, 0)),
+        (IntMatrix.identity(3).rows, (0, 0)),
     ):
         with pytest.raises(ValueError):
             integer_solutions(gram, linear, 1, 1)
-
-
-def test_shell_walk_is_rank_3_only():
-    for gram, linear in (
-        ([(1, 0), (0, 1)], (0, 0)),
-        (IntMatrix.identity(4).rows, (0,) * 4),
-        (IntMatrix.identity(3).rows, (0, 0)),
-    ):
-        with pytest.raises(ValueError, match="rank 3 only"):
+        with pytest.raises(ValueError):
             next(solutions_by_shell(gram, linear, 1, 1))
 
 

@@ -143,6 +143,22 @@ def test_find_on_l42():
     assert verify_triple(L42, res.triple).all_ok
 
 
+@pytest.mark.parametrize(
+    "L, first, expected",
+    [
+        pytest.param(L26, 4, ((1, -1, 1), (1, 1, 0), (4, 3, 0)), id="L26"),
+        pytest.param(L42, 5, ((1, -2, -1), (1, 1, 0), (5, 4, 0)), id="L42"),
+    ],
+)
+def test_found_triple_is_the_same_at_every_bound(L, first, expected):
+    # from the first bound that holds w, across the walk's box sides 4, 16 and 64
+    d = determinant(L.gram)
+    for bound in (*range(first, 81), 200):
+        res = find_isotropic_triple(L, d, bound)
+        assert res.status == FOUND, bound
+        assert (res.triple.v.coords, res.triple.vprime.coords, res.triple.w.coords) == expected, bound
+
+
 def test_find_on_standard_splitting():
     U26 = direct_sum([hyperbolic_plane(), z_lattice(-26)])
     res = find_isotropic_triple(U26, 26, 5)
@@ -212,7 +228,7 @@ def test_find_certificate_is_instant_at_max_bound():
 
 
 def test_find_with_huge_entries_walks_shells_at_max_bound():
-    # v, v' and w lie on shell 1; the parent listed the box twice (0.95 s)
+    # v, v' and w lie on shell 1
     e = 10**600 + 1
     L = direct_sum([hyperbolic_plane(), z_lattice(-e)])
     start = time.perf_counter()
