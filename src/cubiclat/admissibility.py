@@ -22,12 +22,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
-#: largest range the command line accepts; the witness table of 10^7
-#: holds 5 * 10^6 entries and takes about 0.5 s and 100 MB to build
+#: largest range the command line accepts; it bounds the witness table,
+#: which holds one entry per d/2
 MAX_D = 10**7
 
 #: largest range the command line reports d by d (``admissible --verbose``);
-#: at 2 * 10^5 either form prints in about 1 s: JSON 27 MB in 160 MB, human 16 MB in 115 MB
+#: it bounds the output, which holds one report per d
 MAX_VERBOSE_D = 2 * 10**5
 
 #: (d, satisfies_star, satisfies_star_star, genus, witness)

@@ -293,15 +293,6 @@ def kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     return [sign_normalize([a[r + i][j] for i in range(c)]) for j in range(rank, c)]
 
 
-def saturate_rows(M: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the saturation of the row span of M inside Z^ncols.
-
-    The saturation is the set of integer vectors lying in the rational row
-    span; it is computed as the kernel of the kernel.
-    """
-    return kernel_basis(IntMatrix(kernel_basis(M), ncols=M.ncols))
-
-
 def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of a symmetric integer matrix.
 

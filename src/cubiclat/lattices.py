@@ -32,7 +32,6 @@ from .exactlinalg import (
     dot,
     kernel_basis,
     ldlt_signature,
-    saturate_rows,
     sign_normalize,
     smith_eliminate,
 )
@@ -241,8 +240,9 @@ def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
     changes nothing.
     """
     coords = [_coerce_coords(L, b) for b in basis]
-    # saturate_rows returns one vector per unit of rank: fewer means dependence
-    sat = saturate_rows(IntMatrix(coords, ncols=L.rank))
+    # the saturation is the kernel of the kernel, one vector per unit of
+    # rank: fewer means dependence
+    sat = kernel_basis(IntMatrix(kernel_basis(IntMatrix(coords, ncols=L.rank)), ncols=L.rank))
     if len(sat) != len(coords):
         raise ValueError("saturation requires linearly independent input")
     return [LatticeVec(L, b) for b in sat]
@@ -366,8 +366,9 @@ def vectors_with_norm(gram: IntMatrix, value: int, bound: int) -> list[tuple[int
 ISOMETRIC = "isometric"
 NOT_ISOMETRIC = "not_isometric"
 NOT_FOUND_WITHIN_BOUND = "not_found_within_bound"
-#: last box side of an indefinite isometry search, as ``mukai.MAX_BOUND``; a box costs about side^2
-MAX_ISOMETRY_BOUND = 200
+#: last box side of a search: the cap of an indefinite isometry search and
+#: the ``--bound`` ceiling of ``mukai search``; a box of side b costs about b^2
+MAX_BOUND = 200
 
 
 @dataclass(frozen=True)
@@ -442,7 +443,7 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
     x_i^2 <= c adj(G1)_ii / det G1, and a search up to it without a
     witness answers ``not_isometric`` with reason ``"exhaustive"``.
     Otherwise ``top`` is the rank times the largest |entry| of either
-    Gram, at most ``MAX_ISOMETRY_BOUND``, and a search up to it without a
+    Gram, at most ``MAX_BOUND``, and a search up to it without a
     witness answers ``not_found_within_bound``.
     """
     if max(L1.rank, L2.rank) > 3:
@@ -467,7 +468,7 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
         return IsometryResult(ISOMETRIC, map=IntMatrix.identity(L1.rank))
 
     n, g = L1.rank, L1.gram.rows
-    top = min(MAX_ISOMETRY_BOUND, max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs())))
+    top = min(MAX_BOUND, max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs())))
     if 0 in sig:
         adj = [determinant(IntMatrix([r[:i] + r[i + 1 :] for r in g[:i] + g[i + 1 :]])) for i in range(n)]
         top = max(math.isqrt(L2.gram.rows[j][j] * a // det1) for j in range(n) for a in adj)
@@ -565,10 +566,9 @@ def kuznetsov_rank3_lattice(d: int) -> Lattice:
 MAX_INT_DIGITS = 640
 
 #: largest rank a file may declare or hold, and the largest p + q of a
-#: catalog ``I(p,q)``.  It does not bound the cost of the Smith elimination
-#: behind ``discriminant_group``: on dense Grams with entries in [-4, 4] it
-#: took 0.01 s at rank 32 and 0.04 s to more than 400 s at rank 40, and
-#: with 20-digit entries 1.1 s at rank 24 and more than 150 s at rank 32
+#: catalog ``I(p,q)``.  It keeps out the largest files, but does not bound
+#: the cost of the Smith elimination behind ``discriminant_group``, which
+#: grows with the size of the entries as well as with the rank
 MAX_RANK = 40
 
 
@@ -631,10 +631,7 @@ _MAX_FILE_CHARS = 2 * MAX_RANK * (MAX_RANK + 1) * (MAX_INT_DIGITS + 3)
 def load_lattice(path: str) -> Lattice:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # in chunks: one read of the whole ceiling would allocate it all
-            text = ""
-            while len(text) <= _MAX_FILE_CHARS and (chunk := fh.read(8192)):
-                text += chunk
+            text = fh.read(_MAX_FILE_CHARS + 1)
     except (OSError, UnicodeDecodeError) as e:
         raise LatticeFormatError(f"cannot read lattice file: {e}") from e
     if len(text) > _MAX_FILE_CHARS:

@@ -50,6 +50,7 @@ from .lattices import (
     solutions_by_shell,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
+from .lattices import MAX_BOUND  # re-exported; the command line's --bound ceiling
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,6 @@ def verify_triple(L: Lattice, triple: IsotropicTriple) -> TripleCheck:
 
 FOUND = "found"
 IMPOSSIBLE = "impossible"
-
-#: largest ``--bound`` the command line accepts.  A search that fails the
-#: certificate returns at once at any bound (0.03 ms for d = 27 on L26);
-#: one that passes it takes the isotropic vectors from boxes of side 1, 4,
-#: 16, ..., so a found triple costs the boxes up to the first that holds
-#: its v and v', plus a line of about bound points per v for w; finding
-#: none lists the box, about bound^2.  At 200 that took 1.0-1.2 ms to find
-#: the L26 triple for d = 26, at most 1.7 ms on twelve conjugates of
-#: U + Z(-e), and 60-90 ms to find none for d = 26 * 300^2 (Python 3.11,
-#: 2 vCPUs)
-MAX_BOUND = 200
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,12 @@ def test_admissible_verbose_includes_witness(capsys):
     assert reports[26]["star_star"] is True and reports[26]["genus"] == 14
 
 
+def test_admissible_verbose_human_prints_six_lines_per_d(capsys):
+    code, out, _ = run(capsys, "admissible", "--max", "20000", "--verbose")
+    # max, admissible and reports, then d, star, star_star, genus, witness and "-" per d
+    assert code == 0 and out.count("\n") == 3 + 6 * 20000
+
+
 def test_admissible_usage_errors(capsys):
     code, _, _ = run(capsys, "admissible", "--max", "abc")
     assert code == 2
@@ -159,6 +165,12 @@ def test_lattice_info_from_file(capsys, tmp_path):
     doc = run_json(capsys, "lattice", "info", str(path))
     assert doc["payload"]["abs_det"] == 42
     assert doc["payload"]["label"] == "L42"
+    path = tmp_path / "l26.json"
+    lattices.save_lattice(lattices.lattice_by_name("L26"), str(path))
+    from_file = run_json(capsys, "lattice", "info", str(path))["payload"]
+    by_name = run_json(capsys, "lattice", "info", "L26")["payload"]
+    for key in ("det", "signature", "discriminant_group"):
+        assert from_file[key] == by_name[key], key
 
 
 def test_lattice_info_det_matches_bareiss():
@@ -181,9 +193,9 @@ def test_lattice_info_det_matches_bareiss():
 def test_lattice_info_parse_error_exit_3(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"rank": 2, "gram": [[0, 1], [1, "x"]]}')
-    code, _, err = run(capsys, "lattice", "info", str(path))
-    assert code == 3
-    assert "gram" in err
+    code, out, err = run(capsys, "lattice", "info", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "gram" in err
 
 
 @pytest.mark.parametrize(
@@ -255,7 +267,7 @@ def test_lattice_info_unknown_name_exit_3(capsys):
 def test_lattice_info_rejected_catalog_argument_gives_reason(capsys, name, reason):
     code, out, err = run(capsys, "lattice", "info", name)
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and reason in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
 
 
 @pytest.mark.parametrize(
@@ -348,6 +360,17 @@ def test_mukai_search_impossible_on_definite_lattice(capsys, tmp_path):
     )
     assert doc["payload"]["status"] == "impossible"
     assert "definite" in doc["payload"]["reason"]
+
+
+def test_mukai_search_file_with_huge_entry_at_max_bound(capsys, tmp_path):
+    e = 10**600 + 1
+    path = tmp_path / "uz_huge.json"
+    uz = lattices.direct_sum([lattices.hyperbolic_plane(), lattices.z_lattice(-e)])
+    lattices.save_lattice(uz, str(path))
+    argv = ["--lattice", str(path), "--d", str(e), "--bound", str(mukai.MAX_BOUND)]
+    doc = run_json(capsys, "mukai", "search", *argv)
+    assert doc["payload"]["status"] == "found"
+    assert doc["payload"]["all_ok"] is True
 
 
 def test_mukai_gram_lambda(capsys):

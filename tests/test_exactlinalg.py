@@ -19,7 +19,6 @@ from cubiclat.exactlinalg import (
     determinant,
     kernel_basis,
     ldlt_signature,
-    saturate_rows,
     sign_normalize,
     smith_normal_form,
     xgcd,
@@ -221,13 +220,6 @@ def test_kernel_annihilates_and_is_saturated():
             D, _, _ = smith_normal_form(stacked)
             assert all(x == 1 for x in snf_diag(D) if x != 0)
             assert all(x == 1 for x in snf_diag(D)[: len(basis)])
-
-
-def test_saturate_rows():
-    sat = saturate_rows(IntMatrix([[2, 0]]))
-    assert sat == [(1, 0)]
-    sat = saturate_rows(IntMatrix([[1, 0], [0, 1]]))
-    assert sat == [(1, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------
