@@ -31,14 +31,9 @@ from itertools import chain, tee
 from operator import itemgetter
 
 from . import admissibility, chow, cohomology, lattices, mukai
-from .errors import CubiclatError, LatticeFormatError
-from .lattices import (
-    Lattice,
-    discriminant_group,
-    lattice_by_name,
-    load_lattice,
-    signature,
-)
+from .errors import CubiclatError, DegenerateGramError, LatticeFormatError
+from .exactlinalg import invariant_factors_mod, ldlt_signature
+from .lattices import Lattice, lattice_by_name, load_lattice
 
 CLOSED_STDOUT = 1
 USAGE_ERROR = 2
@@ -87,17 +82,17 @@ def admissible_payload(max_d: int, verbose: bool) -> dict:
 
 
 def lattice_info_payload(L: Lattice) -> dict:
-    p, n = signature(L)
-    group = discriminant_group(L)
-    # the sign of det is that of the n negative pivots, |det| = |L^dual / L|
-    det = (-1) ** n * group.order
+    """The invariants of L from one Bareiss pass and one elimination modulo |det|."""
+    p, n, z, det = ldlt_signature(L.gram)
+    if z != 0:
+        raise DegenerateGramError("signature requires a nondegenerate Gram")
     return {
         "label": L.label,
         "rank": L.rank,
         "det": det,
         "abs_det": abs(det),
         "signature": [p, n],
-        "discriminant_group": list(group.factors),
+        "discriminant_group": list(invariant_factors_mod(L.gram, abs(det))),
         "gram": L.gram.to_lists(),
     }
 

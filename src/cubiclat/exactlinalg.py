@@ -7,11 +7,16 @@ dozen in this library), so the implementations favour clarity and
 exactness over asymptotics: Smith normal form by extended-gcd row and
 column operations on one matrix, whose appended rows and columns record
 only the transforms a caller reads, determinants by fraction-free
-Bareiss elimination, and the signature by symmetric Bareiss elimination.
+Bareiss elimination, and the signature together with the determinant by
+one symmetric Bareiss elimination.  The invariant factors of a
+nonsingular matrix alone come from the same extended-gcd steps taken
+modulo |det|, so no entry exceeds |det|; the Smith elimination over Z is
+kept for the kernels and transforms, whose entries can grow far past it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Sequence
@@ -252,6 +257,87 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def invariant_factors_mod(G: IntMatrix, D: int) -> tuple[int, ...]:
+    """Invariant factors > 1 of a nonsingular square G, eliminated modulo D.
+
+    D must be a positive multiple of the largest invariant factor, such
+    as |det G|.  Then D*Z^n lies in G*Z^n, so Z^n / G*Z^n is Z^n modulo
+    G*Z^n + D*Z^n, which row and column operations and the reduction of
+    an entry modulo D all keep (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4).  The steps are those of
+    ``smith_eliminate`` on entries in [0, D), which never exceed D.  No
+    transforms are carried: once the pivot's column is clear and the
+    pivot divides the rest of its row, column operations would only zero
+    that row, so the pivot's row and column are dropped instead.  A pivot
+    e gives the factor gcd(e, D), a remaining block that is zero modulo D
+    gives one factor D per row, and gcd/lcm swaps sort the factors into a
+    divisibility chain.
+    """
+    if not G.is_square():
+        raise ValueError("invariant_factors_mod requires a square matrix")
+    if D < 1:
+        raise ValueError("the modulus must be positive")
+    a = [[e % D for e in row] for row in G.rows]
+    pivots = []
+    while a:
+        # pivot: the smallest nonzero entry, first by rows; a 1 ends the scan
+        best = 0
+        for i, row in enumerate(a):
+            m = min(filter(None, row), default=0)
+            if m and (not best or m < best):
+                best, bi = m, i
+                if m == 1:
+                    break
+        if not best:
+            break
+        a[0], a[bi] = a[bi], a[0]
+        bj = a[0].index(best)
+        if bj:
+            for row in a:
+                row[0], row[bj] = row[bj], row[0]
+        # as in smith_eliminate: an entry the pivot divides is eliminated
+        # directly, any other by a gcd transform that strictly shrinks the
+        # pivot (with b = p, xgcd(p, b) = (p, 0, 1) would shrink nothing)
+        k = len(a)
+        while True:
+            for i in range(1, k):
+                ri = a[i]
+                b = ri[0]
+                if b == 0:
+                    continue
+                top = a[0]
+                p = top[0]
+                if b % p == 0:
+                    q = b // p
+                    ri[0] = 0
+                    for j in range(1, k):
+                        ri[j] = (ri[j] - q * top[j]) % D
+                else:
+                    g, x, y = xgcd(p, b)
+                    s, w = -(b // g), p // g
+                    a[0] = [(x * e + y * f) % D for e, f in zip(top, ri)]
+                    a[i] = [(s * e + w * f) % D for e, f in zip(top, ri)]
+            top = a[0]
+            if all(b % top[0] == 0 for b in top):
+                break
+            for j in range(1, k):
+                p, b = top[0], top[j]
+                if b % p:
+                    g, x, y = xgcd(p, b)
+                    s, w = -(b // g), p // g
+                    for row in a:
+                        e, f = row[0], row[j]
+                        row[0], row[j] = (x * e + y * f) % D, (s * e + w * f) % D
+        pivots.append(a[0][0])
+        a = [row[1:] for row in a[1:]]
+    factors = [f for f in (math.gcd(e, D) for e in pivots) if f > 1] + [D] * len(a)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return tuple(f for f in factors if f > 1)
+
+
 def determinant(M: IntMatrix) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
     if not M.is_square():
@@ -293,8 +379,8 @@ def kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     return [sign_normalize([a[r + i][j] for i in range(c)]) for j in range(rank, c)]
 
 
-def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:
-    """Inertia (positives, negatives, zeros) of a symmetric integer matrix.
+def ldlt_signature(G: IntMatrix) -> tuple[int, int, int, int]:
+    """Inertia and determinant (positives, negatives, zeros, det) of a symmetric matrix.
 
     Fraction-free symmetric Bareiss elimination.  After step t the trailing
     block holds bordered leading minors, so each update divides exactly
@@ -303,6 +389,8 @@ def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:
     zero diagonal but a nonzero entry a[i][j] is first transformed by the
     unimodular congruence b_i += b_j, which makes a[i][i] = 2 a[i][j].  A
     zero trailing block ends the elimination; its size is the zero count.
+    The symmetric swaps and the congruence keep the determinant, so the
+    last pivot is det G; det is 0 when the zero count is positive.
     """
     if not G.is_symmetric():
         raise ValueError("ldlt_signature requires a symmetric matrix")
@@ -333,11 +421,13 @@ def ldlt_signature(G: IntMatrix) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
+        # the trailing block stays symmetric: update its upper half, mirror it
+        at = a[t]
         for i in range(t + 1, n):
-            ai, c = a[i], a[i][t]
-            for j in range(t + 1, n):
-                ai[j] = (p * ai[j] - c * a[t][j]) // prev
+            ai, c = a[i], at[i]
+            for j in range(i, n):
+                ai[j] = a[j][i] = (p * ai[j] - c * at[j]) // prev
         prev = p
         t += 1
-    return (pos, neg, n - t)
+    return (pos, neg, n - t, prev if t == n else 0)
 

@@ -30,10 +30,10 @@ from .exactlinalg import (
     coord_key,
     determinant,
     dot,
+    invariant_factors_mod,
     kernel_basis,
     ldlt_signature,
     sign_normalize,
-    smith_eliminate,
 )
 
 
@@ -194,23 +194,21 @@ def basis_gram(L: Lattice, basis: Sequence[Sequence[int]]) -> IntMatrix:
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
     """Invariant factors of the finite group L^dual / L.
 
-    Reads the Smith normal form of the Gram matrix, eliminated without
-    transforms; factors equal to 1 are dropped.  The product of the
-    factors equals |det L|, and a zero on the diagonal means the Gram is
-    degenerate.
+    det L comes from the symmetric Bareiss pass of ``ldlt_signature``,
+    and the factors from the Smith elimination of the Gram modulo |det L|
+    (``invariant_factors_mod``); factors equal to 1 are dropped.  The
+    product of the factors equals |det L|, and det L = 0 means the Gram
+    is degenerate.
     """
-    d = L.gram.to_lists()
-    smith_eliminate(d, L.rank, L.rank)
-    diag = [d[i][i] for i in range(L.rank)]
-    if 0 in diag:
+    det = ldlt_signature(L.gram)[3]
+    if det == 0:
         raise DegenerateGramError("discriminant group requires a nondegenerate Gram")
-    factors = tuple(a for a in diag if a > 1)
-    return DiscriminantGroup(factors)
+    return DiscriminantGroup(invariant_factors_mod(L.gram, abs(det)))
 
 
 def signature(L: Lattice) -> tuple[int, int]:
     """Signature (positives, negatives) of a nondegenerate lattice."""
-    p, n, z = ldlt_signature(L.gram)
+    p, n, z, _ = ldlt_signature(L.gram)
     if z != 0:
         raise DegenerateGramError("signature requires a nondegenerate Gram")
     return (p, n)
@@ -450,15 +448,16 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
         raise ValueError("is_isometric_small supports ranks up to 3")
     if L1.rank != L2.rank:
         return IsometryResult(NOT_ISOMETRIC, reason="rank")
-    det1, det2 = determinant(L1.gram), determinant(L2.gram)
+    p1, n1, _, det1 = ldlt_signature(L1.gram)
+    p2, n2, _, det2 = ldlt_signature(L2.gram)
     if det1 == 0 or det2 == 0:
         raise DegenerateGramError("isometry testing requires nondegenerate Grams")
     if det1 != det2:
         return IsometryResult(NOT_ISOMETRIC, reason="determinant")
-    sig = signature(L1)
-    if sig != signature(L2):
+    sig = (p1, n1)
+    if sig != (p2, n2):
         return IsometryResult(NOT_ISOMETRIC, reason="signature")
-    if discriminant_group(L1) != discriminant_group(L2):
+    if invariant_factors_mod(L1.gram, abs(det1)) != invariant_factors_mod(L2.gram, abs(det1)):
         return IsometryResult(NOT_ISOMETRIC, reason="discriminant_group")
     # x.x = sum g_ii x_i^2 mod 2: a lattice is even iff its Gram diagonal is
     even1, even2 = (all(L.gram.rows[i][i] % 2 == 0 for i in range(L.rank)) for L in (L1, L2))
@@ -566,9 +565,10 @@ def kuznetsov_rank3_lattice(d: int) -> Lattice:
 MAX_INT_DIGITS = 640
 
 #: largest rank a file may declare or hold, and the largest p + q of a
-#: catalog ``I(p,q)``.  It keeps out the largest files, but does not bound
-#: the cost of the Smith elimination behind ``discriminant_group``, which
-#: grows with the size of the entries as well as with the rank
+#: catalog ``I(p,q)``.  It keeps out the largest files.  The invariants
+#: come from a Bareiss pass and an elimination modulo |det|, whose
+#: entries have the size of |det|, so their cost grows with the size of
+#: the entries as well as with the rank
 MAX_RANK = 40
 
 

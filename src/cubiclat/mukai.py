@@ -35,6 +35,7 @@ from .exactlinalg import (
     coord_key,
     determinant,
     dot,
+    invariant_factors_mod,
     kernel_basis,
     ldlt_signature,
     sign_normalize,
@@ -42,11 +43,11 @@ from .exactlinalg import (
 )
 from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
+    DiscriminantGroup,
     Lattice,
     LatticeVec,
     _coerce_coords,
     basis_gram,
-    discriminant_group,
     solutions_by_shell,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
@@ -199,21 +200,20 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
         raise ValueError("d must be a positive integer")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    p, n, z = ldlt_signature(L.gram)
+    p, n, z, det = ldlt_signature(L.gram)
     if z != 0:
         raise DegenerateGramError("triple search requires a nondegenerate lattice")
     if p == L.rank or n == L.rank:
         return TripleSearch(
             IMPOSSIBLE, reason="definite lattice has no nonzero isotropic vector"
         )
-    det = determinant(L.gram)
     if det <= 0:
         return TripleSearch(IMPOSSIBLE, reason=f"det L = {det} is not positive")
     if d % det != 0 or math.isqrt(d // det) ** 2 != d // det:
         return TripleSearch(
             IMPOSSIBLE, reason=f"d / det L = {d}/{det} is not a perfect square"
         )
-    group = discriminant_group(L)
+    group = DiscriminantGroup(invariant_factors_mod(L.gram, det))
     if len(group.factors) > 1:
         return TripleSearch(
             IMPOSSIBLE, reason=f"discriminant group {group} is not cyclic"

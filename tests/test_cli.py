@@ -8,6 +8,7 @@ from the library.
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -174,20 +175,29 @@ def test_lattice_info_from_file(capsys, tmp_path):
 
 
 def test_lattice_info_det_matches_bareiss():
-    # det is read off the signature and the discriminant group
+    # det is the last pivot of the signature pass and the group comes from
+    # an elimination modulo |det|: det must be that of the plain Bareiss
+    # determinant, and the group's order |det|.  Scaling by k makes
+    # non-cyclic groups
     rng = random.Random(5)
     signs = []
+    noncyclic = 0
     while len(signs) < 300:
         n = rng.randint(1, 24)
+        k = rng.choice((1, 1, 2, 6))
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                g[i][j] = g[j][i] = rng.randint(-4, 4)
+                g[i][j] = g[j][i] = k * rng.randint(-4, 4)
         det = determinant(IntMatrix(g))
         if det != 0:
-            assert cli.lattice_info_payload(Lattice(n, IntMatrix(g)))["det"] == det
+            payload = cli.lattice_info_payload(Lattice(n, IntMatrix(g)))
+            assert payload["det"] == det
+            assert payload["abs_det"] == math.prod(payload["discriminant_group"])
+            noncyclic += len(payload["discriminant_group"]) > 1
             signs.append(det > 0)
     assert set(signs) == {True, False}
+    assert noncyclic >= 50
 
 
 def test_lattice_info_parse_error_exit_3(capsys, tmp_path):

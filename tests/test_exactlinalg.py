@@ -17,6 +17,7 @@ from cubiclat.errors import DegenerateGramError
 from cubiclat.exactlinalg import (
     IntMatrix,
     determinant,
+    invariant_factors_mod,
     kernel_basis,
     ldlt_signature,
     sign_normalize,
@@ -227,11 +228,12 @@ def test_kernel_annihilates_and_is_saturated():
 
 
 def test_ldlt_examples():
-    assert ldlt_signature(IntMatrix([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert ldlt_signature(IntMatrix([[0, 1], [1, 0]])) == (1, 1, 0, -1)
     from cubiclat.lattices import e8
 
-    assert ldlt_signature(e8().gram) == (8, 0, 0)
-    assert ldlt_signature(IntMatrix([[0]])) == (0, 0, 1)
+    assert ldlt_signature(e8().gram) == (8, 0, 0, 1)
+    assert ldlt_signature(IntMatrix([[0]])) == (0, 0, 1, 0)
+    assert ldlt_signature(IntMatrix([])) == (0, 0, 0, 1)
 
 
 def test_ldlt_rejects_nonsymmetric():
@@ -247,8 +249,9 @@ def test_ldlt_counts_sum_to_dimension():
         sym = IntMatrix(
             [[M.rows[i][j] + M.rows[j][i] for j in range(n)] for i in range(n)]
         )
-        p, m, z = ldlt_signature(sym)
+        p, m, z, det = ldlt_signature(sym)
         assert p + m + z == n
+        assert (det == 0) == (z > 0)
 
 
 def test_ldlt_congruence_invariance():
@@ -267,30 +270,36 @@ def test_ldlt_congruence_invariance():
 def test_ldlt_rational_entries():
     # diag(1/2, -2/3) scaled by 6: the same inertia
     G = IntMatrix([[3, 0], [0, -4]])
-    assert ldlt_signature(G) == (1, 1, 0)
+    assert ldlt_signature(G) == (1, 1, 0, -12)
 
 
 def test_ldlt_hyperbolic_pivot_needs_column_swap():
     # zero diagonal, off-diagonal pair in a non-adjacent position
     G = IntMatrix([[0, 0, 1], [0, 0, 2], [1, 2, 0]])
-    assert ldlt_signature(G) == (1, 1, 1)
+    assert ldlt_signature(G) == (1, 1, 1, 0)
 
 
 def test_ldlt_hyperbolic_pivot_needs_row_swap():
     # the first nonzero off-diagonal entry sits below the working row
     G = IntMatrix([[0, 0, 0], [0, 0, 3], [0, 3, 0]])
-    assert ldlt_signature(G) == (1, 1, 1)
+    assert ldlt_signature(G) == (1, 1, 1, 0)
     G4 = IntMatrix(
         [[0, 0, 0, 0], [0, 0, 0, 5], [0, 0, 2, 0], [0, 5, 0, 0]]
     )
-    assert ldlt_signature(G4) == (2, 1, 1)
+    assert ldlt_signature(G4) == (2, 1, 1, 0)
 
 
 def fraction_ldlt_signature(rows):
-    """Reference: symmetric reduction over the rationals with hyperbolic 2x2 pivots."""
+    """Reference: symmetric reduction over the rationals with hyperbolic 2x2 pivots.
+
+    Returns (positives, negatives, zeros, det): the swaps and the Schur
+    complements keep the determinant, so det is the product of the pivots
+    and of -b^2 for each hyperbolic block [[0, b], [b, 0]].
+    """
     n = len(rows)
     a = [[Fraction(e) for e in row] for row in rows]
     pos = neg = zero = 0
+    det = Fraction(1)
     t = 0
 
     def swap(i, j):
@@ -304,6 +313,7 @@ def fraction_ldlt_signature(rows):
             if piv != t:
                 swap(t, piv)
             p = a[t][t]
+            det *= p
             if p > 0:
                 pos += 1
             else:
@@ -341,6 +351,7 @@ def fraction_ldlt_signature(rows):
         # block [[0, b], [b, 0]] contributes signature (1, 1)
         pos += 1
         neg += 1
+        det *= -b * b
         for i in range(t + 2, n):
             c0 = a[i][t + 1] / b
             c1 = a[i][t] / b
@@ -352,14 +363,15 @@ def fraction_ldlt_signature(rows):
             a[i][t] = a[i][t + 1] = Fraction(0)
             a[t][i] = a[t + 1][i] = Fraction(0)
         t += 2
-    return (pos, neg, zero)
+    return (pos, neg, zero, 0 if zero else int(det))
 
 
 def descartes_inertia(rows):
     """Inertia from the characteristic polynomial by Descartes' rule of signs.
 
     The rule counts positive roots exactly when every root is real, which
-    holds for the eigenvalues of a symmetric matrix.
+    holds for the eigenvalues of a symmetric matrix.  The determinant is
+    (-1)^n times the constant coefficient of det(x I - A).
     """
     import sympy
 
@@ -372,7 +384,7 @@ def descartes_inertia(rows):
         return sum((a > 0) != (b > 0) for a, b in zip(nonzero, nonzero[1:]))
 
     flipped = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
-    return (sign_changes(coeffs), sign_changes(flipped), n - last)
+    return (sign_changes(coeffs), sign_changes(flipped), n - last, (-1) ** n * int(coeffs[-1]))
 
 
 def random_symmetric(rng, n):
@@ -460,6 +472,47 @@ def test_snf_discriminant_group_and_determinant_match_sympy():
             ), rows
 
 
+def test_invariant_factors_mod_and_bareiss_det_match_sympy():
+    # without U and V, every rank up to 24 is cheap; the kernel is valid
+    # for any modulus D with D * Z^n inside G * Z^n, so |det| times 3 and
+    # the largest factor alone must give the same factors as |det|
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(25)
+    degenerate = noncyclic = 0
+    for _ in range(100):
+        n = rng.randint(1, 24)
+        rows = random_symmetric(rng, n)
+        M = IntMatrix(rows)
+        det = ldlt_signature(M)[3]
+        assert det == determinant(M) == Matrix(rows).det(), rows
+        if det == 0:
+            degenerate += 1
+            with pytest.raises(DegenerateGramError):
+                discriminant_group(Lattice(n, M))
+            continue
+        factors = tuple(int(x) for x in invariant_factors(Matrix(rows), domain=ZZ) if x > 1)
+        noncyclic += len(factors) > 1
+        for D in (abs(det), 3 * abs(det), max(factors, default=1)):
+            assert invariant_factors_mod(M, D) == factors, (rows, D)
+        assert discriminant_group(Lattice(n, M)).factors == factors
+    assert degenerate >= 10 and noncyclic >= 10
+
+
+def test_invariant_factors_mod_examples():
+    assert invariant_factors_mod(IntMatrix([[2, 0], [0, 3]]), 6) == (6,)
+    assert invariant_factors_mod(IntMatrix([[2, 4], [4, 2]]), 12) == (2, 6)
+    # an entry that is zero modulo D gives the factor D
+    assert invariant_factors_mod(IntMatrix([[5]]), 5) == (5,)
+    assert invariant_factors_mod(IntMatrix([[0, 1], [1, 0]]), 1) == ()
+    assert invariant_factors_mod(IntMatrix([]), 1) == ()
+    with pytest.raises(ValueError):
+        invariant_factors_mod(IntMatrix([[2]]), 0)
+    with pytest.raises(ValueError):
+        invariant_factors_mod(IntMatrix([[1, 2]]), 1)
+
+
 def test_kernel_and_discriminant_group_agree_with_full_snf():
     # kernel_basis reads only V and discriminant_group only D; both must
     # match what smith_normal_form returns with all three transforms
@@ -492,22 +545,43 @@ def test_kernel_and_discriminant_group_agree_with_full_snf():
             )
 
 
-def test_discriminant_group_does_not_carry_transforms():
-    # a dense rank-40 Gram with entries in [-4, 4]: carrying U and V took
-    # 7.3 s on one 2-vCPU host, and eliminating D alone 0.3 s.  Seed 4 is
-    # the upper median of seeds 1-10, whose D-only times spread from 0.04
-    # to 18.7 s because the block's own entries grow (ROADMAP item 4)
-    rng = random.Random(4)
-    n = 40
+def dense_gram(seed, n):
+    """Symmetric n x n Gram with entries in [-4, 4], upper triangle row by row."""
+    rng = random.Random(seed)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randint(-4, 4)
-    L = Lattice(n, IntMatrix(rows))
+    return IntMatrix(rows)
+
+
+def test_discriminant_group_does_not_carry_transforms():
+    # a dense rank-40 Gram with entries in [-4, 4]: carrying U and V over Z
+    # took 7.3 s on one 2-vCPU host.  The group needs no transforms, and
+    # modulo |det| no entry grows past the 135-bit |det|, so it takes
+    # about 0.02 s there
+    L = Lattice(40, dense_gram(4, 40))
     start = time.perf_counter()
     group = discriminant_group(L)
     assert time.perf_counter() - start < 1.5
     assert math.prod(group.factors) == abs(determinant(L.gram))
+
+
+def test_discriminant_group_dense_grams_have_no_cliff():
+    # over Z these took 0.04 s to more than 400 s per seed at rank 40, and
+    # rank 64 ran past 100 s; modulo |det| the 15 seeds took 0.26 s in all
+    # and rank 64 took 0.09 s on a 2-vCPU host
+    lattices = [Lattice(40, dense_gram(seed, 40)) for seed in range(1, 16)]
+    start = time.perf_counter()
+    groups = [discriminant_group(L) for L in lattices]
+    assert time.perf_counter() - start < 3
+    for L, group in zip(lattices, groups):
+        assert group.order == abs(determinant(L.gram))
+    L = Lattice(64, dense_gram(1, 64))
+    start = time.perf_counter()
+    group = discriminant_group(L)
+    assert time.perf_counter() - start < 2
+    assert group.order == abs(determinant(L.gram))
 
 
 def test_sign_normalize():

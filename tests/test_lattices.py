@@ -573,7 +573,7 @@ def definite_pairs(rng, count):
             g[i][i] = rng.randint(1, 6)
             for j in range(i + 1, n):
                 g[i][j] = g[j][i] = rng.randint(-3, 3)
-        if ldlt_signature(IntMatrix(g)) != (n, 0, 0):
+        if ldlt_signature(IntMatrix(g))[:3] != (n, 0, 0):
             continue
         L = Lattice(n, IntMatrix(g).scale(rng.choice((1, -1))))
         if count % 3 == 0:
