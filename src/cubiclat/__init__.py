@@ -67,6 +67,7 @@ from .lattices import (
     hyperbolic_plane,
     hyperplane_square,
     inner_product,
+    invariants,
     is_isometric_small,
     k3_lattice,
     k3_polarized_primitive,

@@ -31,8 +31,7 @@ from itertools import chain, tee
 from operator import itemgetter
 
 from . import admissibility, chow, cohomology, lattices, mukai
-from .errors import CubiclatError, DegenerateGramError, LatticeFormatError
-from .exactlinalg import invariant_factors_mod, ldlt_signature
+from .errors import CubiclatError, LatticeFormatError
 from .lattices import Lattice, lattice_by_name, load_lattice
 
 CLOSED_STDOUT = 1
@@ -82,17 +81,15 @@ def admissible_payload(max_d: int, verbose: bool) -> dict:
 
 
 def lattice_info_payload(L: Lattice) -> dict:
-    """The invariants of L from one Bareiss pass and one elimination modulo |det|."""
-    p, n, z, det = ldlt_signature(L.gram)
-    if z != 0:
-        raise DegenerateGramError("signature requires a nondegenerate Gram")
+    """The invariants of L, from ``lattices.invariants``."""
+    (p, n), det, group = lattices.invariants(L)
     return {
         "label": L.label,
         "rank": L.rank,
         "det": det,
         "abs_det": abs(det),
         "signature": [p, n],
-        "discriminant_group": list(invariant_factors_mod(L.gram, abs(det))),
+        "discriminant_group": list(group.factors),
         "gram": L.gram.to_lists(),
     }
 

@@ -191,19 +191,25 @@ def basis_gram(L: Lattice, basis: Sequence[Sequence[int]]) -> IntMatrix:
     return IntMatrix([[dot(b, gc) for gc in images] for b in basis], ncols=len(basis))
 
 
-def discriminant_group(L: Lattice) -> DiscriminantGroup:
-    """Invariant factors of the finite group L^dual / L.
+def invariants(L: Lattice) -> tuple[tuple[int, int], int, DiscriminantGroup]:
+    """Signature, det and discriminant group of a nondegenerate lattice.
 
-    det L comes from the symmetric Bareiss pass of ``ldlt_signature``,
-    and the factors from the Smith elimination of the Gram modulo |det L|
+    The signature and det L come from the symmetric Bareiss pass of
+    ``ldlt_signature``, and the invariant factors of L^dual / L from the
+    Smith elimination of the Gram modulo |det L|
     (``invariant_factors_mod``); factors equal to 1 are dropped.  The
     product of the factors equals |det L|, and det L = 0 means the Gram
     is degenerate.
     """
-    det = ldlt_signature(L.gram)[3]
+    p, n, _, det = ldlt_signature(L.gram)
     if det == 0:
-        raise DegenerateGramError("discriminant group requires a nondegenerate Gram")
-    return DiscriminantGroup(invariant_factors_mod(L.gram, abs(det)))
+        raise DegenerateGramError("lattice invariants require a nondegenerate Gram")
+    return (p, n), det, DiscriminantGroup(invariant_factors_mod(L.gram, abs(det)))
+
+
+def discriminant_group(L: Lattice) -> DiscriminantGroup:
+    """Invariant factors of the finite group L^dual / L (see ``invariants``)."""
+    return invariants(L)[2]
 
 
 def signature(L: Lattice) -> tuple[int, int]:
@@ -376,7 +382,7 @@ class IsometryResult:
     ``status`` is one of ``isometric`` (with a witness ``map`` T such
     that T^t G1 T = G2), ``not_isometric`` (an invariant distinguishes
     the lattices, or ``reason`` is ``"exhaustive"``: a definite pair was
-    searched past its radius), or ``not_found_within_bound`` (the search
+    searched up to its radius), or ``not_found_within_bound`` (the search
     box was exhausted without a witness, which proves nothing).
     """
 
@@ -448,27 +454,23 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
         raise ValueError("is_isometric_small supports ranks up to 3")
     if L1.rank != L2.rank:
         return IsometryResult(NOT_ISOMETRIC, reason="rank")
-    p1, n1, _, det1 = ldlt_signature(L1.gram)
-    p2, n2, _, det2 = ldlt_signature(L2.gram)
-    if det1 == 0 or det2 == 0:
-        raise DegenerateGramError("isometry testing requires nondegenerate Grams")
-    if det1 != det2:
-        return IsometryResult(NOT_ISOMETRIC, reason="determinant")
-    sig = (p1, n1)
-    if sig != (p2, n2):
-        return IsometryResult(NOT_ISOMETRIC, reason="signature")
-    if invariant_factors_mod(L1.gram, abs(det1)) != invariant_factors_mod(L2.gram, abs(det1)):
-        return IsometryResult(NOT_ISOMETRIC, reason="discriminant_group")
+    (sig1, det1, group1), (sig2, det2, group2) = invariants(L1), invariants(L2)
     # x.x = sum g_ii x_i^2 mod 2: a lattice is even iff its Gram diagonal is
     even1, even2 = (all(L.gram.rows[i][i] % 2 == 0 for i in range(L.rank)) for L in (L1, L2))
-    if even1 != even2:
-        return IsometryResult(NOT_ISOMETRIC, reason="parity")
+    for reason, left, right in (
+        ("determinant", det1, det2),
+        ("signature", sig1, sig2),
+        ("discriminant_group", group1, group2),
+        ("parity", even1, even2),
+    ):
+        if left != right:
+            return IsometryResult(NOT_ISOMETRIC, reason=reason)
     if L1.gram == L2.gram:
         return IsometryResult(ISOMETRIC, map=IntMatrix.identity(L1.rank))
 
     n, g = L1.rank, L1.gram.rows
     top = min(MAX_BOUND, max(1, n * max(L1.gram.max_abs(), L2.gram.max_abs())))
-    if 0 in sig:
+    if 0 in sig1:
         adj = [determinant(IntMatrix([r[:i] + r[i + 1 :] for r in g[:i] + g[i + 1 :]])) for i in range(n)]
         top = max(math.isqrt(L2.gram.rows[j][j] * a // det1) for j in range(n) for a in adj)
     b = 1
@@ -481,7 +483,7 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
                 raise RuntimeError(f"internal error: {T} is not an isometry")
             return IsometryResult(ISOMETRIC, map=T)
         if b >= top:
-            if 0 in sig:
+            if 0 in sig1:
                 return IsometryResult(NOT_ISOMETRIC, reason="exhaustive")
             return IsometryResult(NOT_FOUND_WITHIN_BOUND)
         b *= 2
@@ -565,8 +567,8 @@ def kuznetsov_rank3_lattice(d: int) -> Lattice:
 MAX_INT_DIGITS = 640
 
 #: largest rank a file may declare or hold, and the largest p + q of a
-#: catalog ``I(p,q)``.  It keeps out the largest files.  The invariants
-#: come from a Bareiss pass and an elimination modulo |det|, whose
+#: catalog ``I(p,q)``.  It keeps out the largest files.  ``invariants``
+#: runs a Bareiss pass and an elimination modulo |det|, whose
 #: entries have the size of |det|, so their cost grows with the size of
 #: the entries as well as with the rank
 MAX_RANK = 40

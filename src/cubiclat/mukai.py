@@ -28,26 +28,24 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateGramError, ParityError
+from .errors import ParityError
 from .exactlinalg import (
     IntMatrix,
     _require_ints,
     coord_key,
     determinant,
     dot,
-    invariant_factors_mod,
     kernel_basis,
-    ldlt_signature,
     sign_normalize,
     xgcd,
 )
 from .lattices import (
     NOT_FOUND_WITHIN_BOUND,
-    DiscriminantGroup,
     Lattice,
     LatticeVec,
     _coerce_coords,
     basis_gram,
+    invariants,
     solutions_by_shell,
 )
 from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
@@ -200,10 +198,8 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
         raise ValueError("d must be a positive integer")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    p, n, z, det = ldlt_signature(L.gram)
-    if z != 0:
-        raise DegenerateGramError("triple search requires a nondegenerate lattice")
-    if p == L.rank or n == L.rank:
+    sig, det, group = invariants(L)
+    if 0 in sig:
         return TripleSearch(
             IMPOSSIBLE, reason="definite lattice has no nonzero isotropic vector"
         )
@@ -213,7 +209,6 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
         return TripleSearch(
             IMPOSSIBLE, reason=f"d / det L = {d}/{det} is not a perfect square"
         )
-    group = DiscriminantGroup(invariant_factors_mod(L.gram, det))
     if len(group.factors) > 1:
         return TripleSearch(
             IMPOSSIBLE, reason=f"discriminant group {group} is not cyclic"

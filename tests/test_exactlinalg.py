@@ -24,7 +24,7 @@ from cubiclat.exactlinalg import (
     smith_normal_form,
     xgcd,
 )
-from cubiclat.lattices import Lattice, discriminant_group
+from cubiclat.lattices import Lattice, discriminant_group, invariants, signature
 
 
 def laplace_det(rows):
@@ -491,12 +491,17 @@ def test_invariant_factors_mod_and_bareiss_det_match_sympy():
             degenerate += 1
             with pytest.raises(DegenerateGramError):
                 discriminant_group(Lattice(n, M))
+            with pytest.raises(DegenerateGramError):
+                invariants(Lattice(n, M))
             continue
         factors = tuple(int(x) for x in invariant_factors(Matrix(rows), domain=ZZ) if x > 1)
         noncyclic += len(factors) > 1
         for D in (abs(det), 3 * abs(det), max(factors, default=1)):
             assert invariant_factors_mod(M, D) == factors, (rows, D)
-        assert discriminant_group(Lattice(n, M)).factors == factors
+        L = Lattice(n, M)
+        assert discriminant_group(L).factors == factors
+        sig, inv_det, group = invariants(L)
+        assert (sig, inv_det, group.factors) == (signature(L), Matrix(rows).det(), factors), rows
     assert degenerate >= 10 and noncyclic >= 10
 
 

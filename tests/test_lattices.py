@@ -490,10 +490,27 @@ def test_isometry_l42_vs_hyperbolic_splitting():
     assert (res.map.transpose() @ L42.gram @ res.map) == target.gram
 
 
-def test_isometry_signature_prescreen():
-    res = is_isometric_small(a2(), twist(a2(), -1))
-    assert res.status == NOT_ISOMETRIC
-    assert res.reason == "signature"
+def _diag(*entries):
+    n = len(entries)
+    return Lattice(n, IntMatrix([[e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)]))
+
+
+@pytest.mark.parametrize(
+    "L1, L2, reason",
+    [
+        (z_lattice(1), hyperbolic_plane(), "rank"),
+        # the signature differs too: the determinant is compared first
+        (a2(), hyperbolic_plane(), "determinant"),
+        # the parity differs too: the group is compared first
+        (_diag(1, 4), _diag(2, 2), "discriminant_group"),
+        (_diag(1, 1, -4), _diag(1, 2, -2), "discriminant_group"),
+        (a2(), twist(a2(), -1), "signature"),
+    ],
+    ids=["rank", "determinant", "group-rank2", "group-rank3", "signature"],
+)
+def test_isometry_prescreen_reasons(L1, L2, reason):
+    res = is_isometric_small(L1, L2)
+    assert (res.status, res.reason, res.map) == (NOT_ISOMETRIC, reason, None)
 
 
 def test_isometry_identity_fast_path():
