@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterator, Sequence
@@ -199,11 +200,17 @@ def invariants(L: Lattice) -> tuple[tuple[int, int], int, DiscriminantGroup]:
     Smith elimination of the Gram modulo |det L|
     (``invariant_factors_mod``); factors equal to 1 are dropped.  The
     product of the factors equals |det L|, and det L = 0 means the Gram
-    is degenerate.
+    is degenerate.  A det with more digits than the interpreter prints
+    (``sys.get_int_max_str_digits``) raises ``ValueError`` before the
+    elimination, which on such entries runs for minutes.
     """
     p, n, _, det = ldlt_signature(L.gram)
     if det == 0:
         raise DegenerateGramError("lattice invariants require a nondegenerate Gram")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 10^limit has more than 3 limit bits: the exact test runs only past that
+    if limit and abs(det).bit_length() > 3 * limit and abs(det) >= 10**limit:
+        raise ValueError("the result holds an integer too long to print")
     return (p, n), det, DiscriminantGroup(invariant_factors_mod(L.gram, abs(det)))
 
 
@@ -268,12 +275,12 @@ def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, .
     """Every integer x with x^T G x + l.x = value and |x_i| <= bound.
 
     ``gram`` is the symmetric G as a sequence of n rows and ``linear`` the
-    coefficient vector l of length n, for n from 1 to 3.  The result is in
-    lexicographic order.
+    coefficient vector l of length n, for ranks 2 and 3.  The result is
+    in lexicographic order.
     """
     n = len(linear)
-    if not 1 <= n <= 3 or len(gram) != n:
-        raise ValueError("integer_solutions supports ranks 1 to 3")
+    if not 2 <= n <= 3 or len(gram) != n:
+        raise ValueError("integer_solutions supports ranks 2 and 3")
     lo, hi, m = -bound, bound, n - 1
     box = range(lo, hi + 1)
     # (leading coordinates, form minus value on them, linear part given them);
@@ -286,19 +293,15 @@ def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, .
             for p, c, t in states
             for x in box
         ]
-    if m:
-        row = gram[m - 1]
-        d, e, xs = row[m - 1], 2 * row[m], box
-    else:
-        # rank 1 has no x: one pass with x = 0, dropped from the result
-        d, e, xs = 0, 0, (0,)
+    row = gram[m - 1]
+    d, e = row[m - 1], 2 * row[m]
     # the last coordinate y solves a y^2 + b y + c = 0, inline: no call per (x, y)
     a = gram[m][m]
     a2, a4, sgn = 2 * a, 4 * a, 1 if a > 0 else -1
     out = []
     for p, c0, t in states:
         tk, tm = t[m - 1], t[m]
-        for x in xs:
+        for x in box:
             b, c = tm + e * x, c0 + (d * x + tk) * x
             if a:
                 disc = b * b - a4 * c
@@ -317,7 +320,7 @@ def integer_solutions(gram, linear, value: int, bound: int) -> list[tuple[int, .
                     out.append(p + (x, -c // b))
             elif c == 0:
                 out.extend(p + (x, y) for y in box)
-    return out if m else [y[1:] for y in out]
+    return out
 
 
 #: ratio of the sides of the boxes ``solutions_by_shell`` lists.  The
@@ -338,7 +341,7 @@ def solutions_by_shell(gram, linear, value: int, bound: int) -> Iterator[tuple[i
     that stops at a solution of L1 norm s pays for boxes of side below
     2 WALK_GROWTH s; one that reads on pays for the box and, at rank 3,
     about a third more at most.  Like ``integer_solutions`` it takes
-    ranks 1 to 3.
+    ranks 2 and 3.
     """
     done, side = -1, 1
     while True:
@@ -356,7 +359,7 @@ def solutions_by_shell(gram, linear, value: int, bound: int) -> Iterator[tuple[i
 def vectors_with_norm(gram: IntMatrix, value: int, bound: int) -> list[tuple[int, ...]]:
     """Nonzero vectors x with x^T G x = value and |x_i| <= bound.
 
-    Supports rank 1 to 3.  The result is sorted by the canonical order
+    Supports ranks 2 and 3.  The result is sorted by the canonical order
     (L1 norm, then lexicographic).
     """
     solutions = integer_solutions(gram.rows, (0,) * gram.nrows, value, bound)
@@ -437,6 +440,8 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
 
     Cheap invariants (rank, determinant, signature, discriminant group,
     parity) are compared first; a mismatch proves the lattices distinct.
+    A rank-1 pair never reaches the search: equal det means equal 1x1
+    Grams, and the identity is the witness.
     When they all agree an exhaustive coordinate-box search looks for a
     basis image T with T^t G1 T = G2 and det T = +-1.  The box |T_ij| <= b
     doubles, b = 1, 2, 4, ..., up to a last box of ``top``.  The witness

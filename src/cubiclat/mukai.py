@@ -142,14 +142,14 @@ def _min_w(v: Sequence[int], gv: Sequence[int], k: int, bound: int) -> tuple[int
     g^2 = -det L, and every such w is +-(a v + k g).  Each coordinate
     bounds a to an interval, so this costs O(bound).
     """
-    b1, b2 = kernel_basis(IntMatrix([gv]))
-    # v = alpha b1 + beta b2, read off a nonzero 2x2 minor of (b1, b2);
-    # v is primitive, so xgcd completes it to the basis (v, g)
-    i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if b1[i] * b2[j] != b1[j] * b2[i])
-    minor = b1[i] * b2[j] - b1[j] * b2[i]
-    alpha, beta = (v[i] * b2[j] - v[j] * b2[i]) // minor, (b1[i] * v[j] - b1[j] * v[i]) // minor
-    _, x, y = xgcd(alpha, beta)
-    g = [x * q - y * p for p, q in zip(b1, b2)]
+    # v is primitive, so two Bezout steps give u with v.u = 1; g = gv x u is
+    # orthogonal to gv, and v x g = (v.u) gv - (v.gv) u = gv is primitive,
+    # so (v, g) is a basis of v^perp
+    c, x, y = xgcd(v[0], v[1])
+    _, s, t = xgcd(c, v[2])
+    u0, u1, u2 = s * x, s * y, t
+    g0, g1, g2 = gv
+    g = (g1 * u2 - g2 * u1, g2 * u0 - g0 * u2, g0 * u1 - g1 * u0)
     # |a v_i + k g_i| <= bound puts a in an interval; for v_i < 0 negate both
     # terms first, so the lower end is always a ceiling, -((bound + h) // v_i)
     lo, hi = [], []

@@ -239,19 +239,22 @@ def test_lattice_info_unreadable_file_exit_3(capsys, tmp_path, make):
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter prints integers of any length"
 )
 @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
-def test_lattice_info_result_too_long_to_print_exit_4(capsys, tmp_path, fmt):
+def test_lattice_info_result_too_long_to_print_exit_4(capsys, monkeypatch, tmp_path, fmt):
     # 600-digit entries pass the reader; the determinant has about 4800 digits
     entry = 10**599 + 7
     big = Lattice(8, IntMatrix([[entry if i == j else 0 for j in range(8)] for i in range(8)]))
     path = tmp_path / "big8.json"
     path.write_text(lattice_to_json(big))
+    # such a det fails right after the Bareiss pass, before the elimination
+    eliminations = []
+    monkeypatch.setattr(lattices, "invariant_factors_mod", lambda *args: eliminations.append(args))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         code, out, err = run(capsys, "lattice", "info", str(path), *fmt)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert (code, out) == (4, "")
+    assert (code, out, eliminations) == (4, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "set_int_max_str_digits" not in err
 

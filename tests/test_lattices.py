@@ -428,6 +428,10 @@ def test_integer_solutions_match_box_scan(monkeypatch):
     signs, branches, both_sides = set(), set(), False
     cases = itertools.chain(enumeration_cases(random.Random(6)), walk_cases(random.Random(22)))
     for kind, g, lin, value, bound in cases:
+        # the enumerator takes ranks 2 and 3; skipping the rank-1 draws keeps
+        # the seeded cases of those ranks as they were
+        if len(lin) == 1:
+            continue
         expected = box_scan(g, lin, value, bound)
         assert integer_solutions(g, lin, value, bound) == expected, (g, lin, value, bound)
         branches |= solve_branches(g, lin, value, expected)
@@ -447,6 +451,7 @@ def test_integer_solutions_match_box_scan(monkeypatch):
 def test_integer_solutions_reject_rank_0_and_4():
     for gram, linear in (
         ([], ()),
+        ([(1,)], (0,)),
         (IntMatrix.identity(4).rows, (0,) * 4),
         ([(0,) * 4] * 4, (1, 0, 0, 1)),
         # the number of rows must equal the length of linear

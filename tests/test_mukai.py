@@ -333,6 +333,48 @@ def test_search_matches_box_scan_reference():
     assert impossible >= 150
 
 
+def min_w_cases(rng):
+    """Seeded (G, v, k): v sign-normalized and isotropic with gcd(G v) = 1, det G != 0.
+
+    The Grams are U + Z(-e) in both orders, L26, L42 and random symmetric
+    ones with entries in [-3, 3]; v runs over the box of side 2.
+    """
+    grams = [L26.gram, L42.gram]
+    for e in (1, 2, 5, 26):
+        U, Z = hyperbolic_plane(), z_lattice(-e)
+        grams += [direct_sum([U, Z]).gram, direct_sum([Z, U]).gram]
+    while len(grams) < 80:
+        g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        gram = IntMatrix([[g[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
+        if determinant(gram) != 0:
+            grams.append(gram)
+    for gram in grams:
+        for v in itertools.product(range(-2, 3), repeat=3):
+            gv = gram.mul_vec(v)
+            if any(v) and sign_normalize(v) == v and dot(v, gv) == 0 and math.gcd(*gv) == 1:
+                yield gram, v, rng.randint(1, 3)
+
+
+def test_min_w_matches_box_scan():
+    # the brute force lists the box of side 6 once and takes each smaller box from it
+    box = sorted(itertools.product(range(-6, 7), repeat=3), key=coord_key)
+    kinds, found, missing = set(), 0, 0
+    for gram, v, k in min_w_cases(random.Random(27)):
+        gv, norm = gram.mul_vec(v), -k * k * determinant(gram)
+        ws = [
+            w for w in box if sign_normalize(w) == w and dot(gv, w) == 0 and dot(w, gram.mul_vec(w)) == norm
+        ]
+        for bound in range(1, 7):
+            expected = next((w for w in ws if max(map(abs, w)) <= bound), None)
+            assert mukai._min_w(v, gv, k, bound) == expected, (gram, v, k, bound)
+            found += expected is not None
+            missing += expected is None
+        kinds.add(v.count(0) if v[:2] != (0, 0) else "v0 = v1 = 0")
+    # v with one zero coordinate and v = (0, 0, +-1) take other Bezout steps
+    assert {1, "v0 = v1 = 0"} <= kinds
+    assert found >= 100 and missing >= 100
+
+
 #: (v, v', w) found by each search of ``pinned_search_cases``, in order
 PINNED_TRIPLES = [
     ((1, -1, 1), (1, 1, 0), (4, 3, 0)),
