@@ -8,22 +8,24 @@ Two sieves act on a positive integer d:
 
 Discriminants satisfying (**) are called admissible; they are exactly
 the ones with an associated polarized K3 surface, of genus d/2 + 1.
-A single d is tested by trial division of d/2, which is O(sqrt d).  The
-range functions ``enumerate_admissible`` and ``report_rows`` read one
-witness table, sieved once over every d/2 <= max_d/2.  ``report_rows``
-makes the range report in one loop over that table, as plain tuples with
-no call per d, and ``discriminant_report`` runs the same rule on the
-trial-division witness of one d.
+A single d is tested by trial division of d/2, which is O(sqrt d).
+``enumerate_admissible`` sieves the range into a bytearray, one byte per
+d/2, and reads it back with no Python loop over d.  ``report_rows``
+reads a witness table, sieved once over every d/2 <= max_d/2, and makes
+the range report in one loop over it, as plain tuples with no call per
+d; ``discriminant_report`` runs the same rule on the trial-division
+witness of one d.  Both sieves list their primes with one helper.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
-#: largest range the command line accepts; it bounds the witness table,
-#: which holds one entry per d/2
+#: largest range the command line accepts; it bounds the sieve of
+#: ``enumerate_admissible``, which holds one byte per d/2
 MAX_D = 10**7
 
 #: largest range the command line reports d by d (``admissible --verbose``);
@@ -80,6 +82,19 @@ def satisfies_star_star(d: int) -> tuple[bool, int | None]:
     return (witness is None, witness)
 
 
+def _primes_two_mod_three(limit: int) -> list[int]:
+    """The primes p = 2 (mod 3) with 5 <= p <= limit, ascending.
+
+    Every such p is 5 (mod 6), so only odd composites need clearing.
+    """
+    n = limit + 1
+    is_prime = bytearray([1]) * n
+    for p in range(3, isqrt(limit) + 1, 2):
+        if is_prime[p]:
+            is_prime[p * p :: 2 * p] = bytes(len(range(p * p, n, 2 * p)))
+    return list(compress(range(5, n, 6), is_prime[5::6]))
+
+
 def _witness_table(max_half: int) -> list[int]:
     """Smallest obstruction to (**) for each d/2 = h in 0..max_half, or 0.
 
@@ -89,29 +104,33 @@ def _witness_table(max_half: int) -> list[int]:
     p = 2 (mod 3) from 11 up, then 9, 5 and 2.  Every h = 2 (mod 3) has
     a prime factor p = 2 (mod 3), so its entry is never 0.
     """
+    primes = _primes_two_mod_three(max_half)
     n = max_half + 1
-    is_prime = bytearray([1]) * n
-    is_prime[:2] = bytes(min(n, 2))
-    for p in range(2, isqrt(max_half) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = bytes(len(range(p * p, n, p)))
     table = [0] * n
-    # the largest p <= max_half with p = 2 (mod 3), downwards in steps of 3
-    for p in range(max_half - (max_half - 2) % 3, 10, -3):
-        if is_prime[p]:
-            table[p::p] = [p] * len(range(p, n, p))
-    for q in (9, 5, 2):
+    for q in (*primes[:0:-1], 9, 5, 2):
         table[q::q] = [q] * len(range(q, n, q))
     return table
 
 
 def enumerate_admissible(max_d: int) -> list[int]:
-    """All admissible d <= max_d, ascending."""
+    """All admissible d <= max_d, ascending.
+
+    d is admissible exactly when h = d/2 is at least 4, is 1 or 3
+    (mod 6), and is an odd multiple neither of 9 nor of a prime
+    p = 5 (mod 6): 2 is an obstruction, and every h = 2 (mod 3) has a
+    prime factor p = 2 (mod 3).  An odd multiple of p that is 1 or 3
+    (mod 6) is at least 3p, so the primes up to max_d/6 suffice.
+    """
     if max_d < 1:
         raise ValueError("max_d must be a positive integer")
-    table = _witness_table(max_d // 2)
-    # h = d/2 >= 4 is d > 6; a 0 entry already rules out d = 4 (mod 6)
-    return [2 * h for h in range(4, len(table)) if not table[h]]
+    n = max_d // 2 + 1
+    primes = _primes_two_mod_three((n - 1) // 3)
+    # clear every odd multiple h of 9 and of each prime p = 5 (mod 6)
+    ok = bytearray([1]) * n
+    for q in (9, *primes):
+        ok[q::2 * q] = bytes(len(range(q, n, 2 * q)))
+    # h = 7 + 6k is d = 14 + 12k, h = 9 + 6k is d = 18 + 12k; sorted merges the two runs
+    return sorted([*compress(range(14, max_d + 1, 12), ok[7::6]), *compress(range(18, max_d + 1, 12), ok[9::6])])
 
 
 def genus_of_discriminant(d: int) -> int:

@@ -222,7 +222,8 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
+        # the first item settles a list of dicts without a pass over it
+        if type(value[0]) is int and set(map(type, value)) == {int}:
             body = sep.join(map(int.__repr__, value))
         else:
             body = _scalar_rows_text(value, inner)

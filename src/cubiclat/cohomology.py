@@ -26,6 +26,7 @@ of the whole module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -127,8 +128,8 @@ def euler_pairing(v: CohClass, w: CohClass) -> Fraction:
     return integral(dual(v) * w * WEIGHT)
 
 
-def lambda_gram() -> list[list[int]]:
-    """Euler-pairing Gram matrix of (lambda_1, lambda_2)."""
+@functools.cache
+def _lambda_gram() -> tuple[tuple[int, ...], ...]:
     l1, l2 = lambda_class(1), lambda_class(2)
     rows = []
     for a in (l1, l2):
@@ -138,5 +139,11 @@ def lambda_gram() -> list[list[int]]:
             if q.denominator != 1:
                 raise ArithmeticError("lambda pairing must be an integer")
             row.append(int(q))
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def lambda_gram() -> list[list[int]]:
+    """Euler-pairing Gram matrix of (lambda_1, lambda_2), computed once per
+    process; each call returns fresh lists."""
+    return [list(row) for row in _lambda_gram()]

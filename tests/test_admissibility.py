@@ -2,8 +2,8 @@
 
 The oracle is a smallest-prime-factor sieve, which factors every d/2 in
 the tested range independently of the trial division in the library.
-The range functions read the library's witness table; they are compared
-with the per-d trial division.
+The range functions sieve the whole range; they are compared with the
+per-d trial division.
 """
 
 import math
@@ -159,6 +159,19 @@ def test_table_matches_trial_division_for_every_max_up_to_300():
         assert enumerate_admissible(m) == per_d_admissible(m), m
         reports = list(map(discriminant_report, range(1, m + 1)))
         assert report_rows(m) == list(map(astuple, reports)), m
+
+
+def test_range_ends_at_each_prime_five_mod_six():
+    # h = d/2 = 3p is the smallest odd multiple of a prime p = 5 (mod 6)
+    # above p, so the sieve must clear multiples of every such p up to
+    # max_d/6; the range ends just below, at and above d = 6p
+    primes = [p for p in range(5, 1000, 6) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    full = per_d_admissible(6 * primes[-1] + 2)
+    for p in primes:
+        for m in (6 * p - 2, 6 * p, 6 * p + 2):
+            got = enumerate_admissible(m)
+            assert got == [d for d in full if d <= m], m
+            assert 6 * p not in got
 
 
 def test_reports_reject_nonpositive_max():

@@ -6,6 +6,7 @@ from the library.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -74,7 +75,7 @@ def test_admissible_usage_errors(capsys):
 
 
 def test_admissible_payloads_match_per_d_reports():
-    # both payloads read the witness table; the per-d reports use trial division
+    # both payloads sieve the range; the per-d reports use trial division
     for m in list(range(1, 301)) + [10**5]:
         payload = cli.admissible_payload(m, verbose=True)
         reports = list(map(admissibility.discriminant_report, range(1, m + 1)))
@@ -93,6 +94,22 @@ def test_admissible_payloads_match_per_d_reports():
         assert cli.admissible_payload(m, verbose=False)["admissible"] == admissible, m
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--max", "200000"], "fe2d130df7305b36a6c0ffa91ed6637dc808b52a3617333e9e048067381fcc2e"),
+        (["--max", "10000000"], "b48da39e8c812996936e752b9f20f3a45930cae37ca91202e88ec04e079e43c1"),
+        (["--max", "200000", "--verbose"], "fd26db408006e156ce7b8057e9852c8d0fdc704c4418ba32c02b007814147fa6"),
+    ],
+    ids=["max-200000", "max-10000000", "verbose-max-200000"],
+)
+def test_admissible_largest_outputs_are_pinned(capsys, argv, digest):
+    # the sha256 of the --json text at MAX_VERBOSE_D, plain and verbose, and at MAX_D
+    code, out, _ = run(capsys, "admissible", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class Started(BaseException):
     """Raised by a stand-in for the work a ceiling guards; not an Exception,
     so main, which maps every Exception to exit 5, lets it through."""
@@ -109,7 +126,8 @@ def assert_one_error_line(code, out, err):
 
 
 def test_admissible_max_ceiling_exit_4_before_sieving(capsys, monkeypatch):
-    monkeypatch.setattr(admissibility, "_witness_table", refuse)
+    # both sieves, the plain list and the verbose witness table, list their primes first
+    monkeypatch.setattr(admissibility, "_primes_two_mod_three", refuse)
     over = str(admissibility.MAX_D + 1)
     assert_one_error_line(*run(capsys, "admissible", "--max", over))
     assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose"))

@@ -193,6 +193,13 @@ def test_lambda_gram_is_a2_minus_one():
     assert lambda_gram() == [[-2, 1], [1, -2]]
 
 
+def test_lambda_gram_returns_fresh_lists():
+    gram = lambda_gram()
+    gram[0][0] = 7
+    gram.append([0, 0])
+    assert lambda_gram() == [[-2, 1], [1, -2]]
+
+
 def test_euler_pairing_values():
     l1, l2 = lambda_class(1), lambda_class(2)
     assert euler_pairing(l1, l1) == -2
