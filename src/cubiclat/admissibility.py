@@ -13,7 +13,8 @@ A single d is tested by trial division of d/2, which is O(sqrt d).
 d/2, and reads it back with no Python loop over d.  ``report_rows``
 reads a witness table, sieved once over every d/2 <= max_d/2, and makes
 the range report in one loop over it, as plain tuples with no call per
-d; ``discriminant_report`` runs the same rule on the trial-division
+d, which feed both renderers of ``admissible --verbose``;
+``discriminant_report`` runs the same rule on the trial-division
 witness of one d.  Both sieves list their primes with one helper.
 """
 

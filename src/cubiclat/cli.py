@@ -27,8 +27,6 @@ import os
 import re
 import sys
 import traceback
-from itertools import chain, tee
-from operator import itemgetter
 
 from . import admissibility, chow, cohomology, lattices, mukai
 from .errors import CubiclatError, LatticeFormatError
@@ -65,19 +63,51 @@ def admissible_payload(max_d: int, verbose: bool) -> dict:
 
     The reports are the plain rows of ``admissibility.report_rows``, one
     dict per d with its keys in field order, and the admissible list is
-    read off the same rows; no ``DiscriminantReport`` is built.
+    read off the same rows; no ``DiscriminantReport`` is built.  The
+    command line prints ``_reports_payload``, whose rows need no dicts.
     """
     if not verbose:
         return {"max": max_d, "admissible": admissibility.enumerate_admissible(max_d)}
+    payload = _reports_payload(max_d)
+    payload["reports"] = [dict(zip(_REPORT_FIELDS, row)) for row in payload["reports"]]
+    return payload
+
+
+#: the keys of a report row's dict, in field order
+_REPORT_FIELDS = ("d", "star", "star_star", "genus", "witness")
+#: the fields of each kind of report row, ... for an int of the row: d, genus
+#: and witness, in that order whether the keys are in field or sorted order
+_ROW_KINDS = (
+    (..., False, False, None, None),  # odd d
+    (..., False, False, ..., None),  # even d failing (*): d <= 6 or d = 4 (mod 6)
+    (..., True, True, ..., None),  # admissible d
+    (..., True, False, ..., ...),  # (*) with a witness
+)
+
+
+class _Reports(tuple):
+    """The rows of ``admissibility.report_rows``, which ``emit`` writes as it
+    would the report dicts of ``admissible_payload``, with one ``%`` a row."""
+
+    def texts(self, template) -> list[str]:
+        """Each row filled into ``template(report)`` of its kind, the text of
+        the kind's report dict with "%d" as the value of each int of the row."""
+        odd, failing, admissible, witnessed = (
+            template({k: "%d" if v is ... else v for k, v in zip(_REPORT_FIELDS, kind)}) for kind in _ROW_KINDS
+        )
+        return [
+            odd % d if genus is None
+            else witnessed % (d, genus, witness) if witness
+            else admissible % (d, genus) if star_star
+            else failing % (d, genus)
+            for d, _, star_star, genus, witness in self
+        ]
+
+
+def _reports_payload(max_d: int) -> dict:
+    """The verbose payload, with the rows themselves as its reports."""
     rows = admissibility.report_rows(max_d)
-    return {
-        "max": max_d,
-        "admissible": [row[0] for row in rows if row[2]],
-        "reports": [
-            {"d": d, "star": star, "star_star": star_star, "genus": genus, "witness": witness}
-            for d, star, star_star, genus, witness in rows
-        ],
-    }
+    return {"max": max_d, "admissible": [row[0] for row in rows if row[2]], "reports": _Reports(rows)}
 
 
 def lattice_info_payload(L: Lattice) -> dict:
@@ -176,7 +206,7 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
     """Print the payload; nothing is printed if any of it cannot be rendered.
 
     The JSON document is the bytes of ``json.dumps(doc, indent=2,
-    sort_keys=True)``.
+    sort_keys=True)``; both renderers write ``_Reports`` a template per row kind.
     """
     try:
         if as_json:
@@ -191,9 +221,6 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_SCALAR_TYPES = {int, bool, type(None)}
-#: the JSON text of True, False and None, keyed by their repr
-_LITERAL = {"True": "true", "False": "false", "None": "null"}.get
 
 
 def _json_text(value, pad: str) -> str:
@@ -211,62 +238,31 @@ def _json_text(value, pad: str) -> str:
         return int.__repr__(value)
     inner = pad + "  "
     sep = "," + inner
+    if type(value) is _Reports:
+        # "%d" writes an int's JSON text; joined in place, the list of texts
+        # is freed before the copy into the brackets
+        template = lambda report: _json_text(report, inner).replace('"%d"', "%d")
+        return f"[{inner}{sep.join(value.texts(template))}{pad}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         # keys are strings: the encoder refuses any other type
-        items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
-        # an f-string copies its parts once, where a chain of + copies a
-        # long part at every step
-        return f"{{{inner}{sep.join(items)}{pad}}}"
+        body = sep.join([f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())])
+        # the items are freed before this copy; an f-string copies its
+        # parts once, where a chain of + copies a long part at every step
+        return f"{{{inner}{body}{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         # the first item settles a list of dicts without a pass over it
         if type(value[0]) is int and set(map(type, value)) == {int}:
-            body = sep.join(map(int.__repr__, value))
+            # a list of ints prints as their JSON texts joined by ", ",
+            # with no str held per item
+            body = repr(value if type(value) is list else list(value))[1:-1].replace(", ", sep)
         else:
-            body = _scalar_rows_text(value, inner)
-            if body is None:
-                body = sep.join([_json_text(v, inner) for v in value])
+            body = sep.join([_json_text(v, inner) for v in value])
         return f"[{inner}{body}{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _scalar_rows_text(rows, pad: str) -> str | None:
-    """The items of ``_json_text(rows, ...)`` for a list of dicts that share
-    one non-empty key set and hold only int, bool and None values; None
-    for any other list.
-
-    One template is built from the sorted keys and filled row by row, with
-    the values streamed through iterators rather than held as columns.
-    """
-    first = rows[0]
-    if type(first) is not dict or not first:
-        return None
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
-        return None
-    names = sorted(first)
-    get = itemgetter(*names)
-
-    def values():
-        # itemgetter of one key returns the value, not a 1-tuple
-        return chain.from_iterable(map(get, rows)) if len(names) > 1 else map(get, rows)
-
-    try:
-        # the rows have one length, so a row without a key of the first
-        # has another key instead
-        if not set(map(type, values())) <= _SCALAR_TYPES:
-            return None
-    except KeyError:
-        return None
-    inner = pad + "  "
-    fields = ("," + inner).join(_encode_str(k).replace("%", "%%") + ": %s" for k in names)
-    template = "{" + inner + fields + pad + "}"
-    # an int's repr is its JSON text; True, False and None swap theirs
-    reprs, fallback = tee(map(repr, values()))
-    texts = map(_LITERAL, reprs, fallback)
-    return ("," + pad).join(map(template.__mod__, zip(*[texts] * len(names))))
 
 
 def _human_text(payload: dict, indent: str) -> str:
@@ -276,6 +272,9 @@ def _human_text(payload: dict, indent: str) -> str:
     for key, value in payload.items():
         if isinstance(value, dict):
             out += (f"{indent}{key}:", _human_text(value, inner))
+        elif type(value) is _Reports:
+            out.append(f"{indent}{key}:")
+            out += value.texts(lambda report: f"{_human_text(report, inner)}\n{dash}")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             out.append(f"{indent}{key}:")
             for item in value:
@@ -346,7 +345,7 @@ def _parser() -> argparse.ArgumentParser:
             raise ValueError(f"--max must be at most {admissibility.MAX_D}")
         if a.verbose and a.max > admissibility.MAX_VERBOSE_D:
             raise ValueError(f"--max must be at most {admissibility.MAX_VERBOSE_D} with --verbose")
-        return "admissible", admissible_payload(a.max, a.verbose)
+        return "admissible", _reports_payload(a.max) if a.verbose else admissible_payload(a.max, False)
 
     p = sub.add_parser("admissible", parents=[common], help="enumerate admissible discriminants")
     p.add_argument("--max", type=_integer, required=True, help="upper bound on d")

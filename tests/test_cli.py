@@ -74,10 +74,16 @@ def test_admissible_usage_errors(capsys):
     assert code == 4
 
 
-def test_admissible_payloads_match_per_d_reports():
+def test_admissible_payloads_match_per_d_reports(capsys):
     # both payloads sieve the range; the per-d reports use trial division
     for m in list(range(1, 301)) + [10**5]:
         payload = cli.admissible_payload(m, verbose=True)
+        if m <= 300:
+            # the command line writes the rows of every kind as the payload's reports
+            doc = {"command": "admissible", "status": "ok", "payload": payload}
+            argv = ("admissible", "--max", str(m), "--verbose")
+            assert run(capsys, *argv, "--json") == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n", ""), m
+            assert run(capsys, *argv) == (0, cli._human_text(payload, "") + "\n", ""), m
         reports = list(map(admissibility.discriminant_report, range(1, m + 1)))
         assert payload["reports"] == [
             {
@@ -97,15 +103,17 @@ def test_admissible_payloads_match_per_d_reports():
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["--max", "200000"], "fe2d130df7305b36a6c0ffa91ed6637dc808b52a3617333e9e048067381fcc2e"),
-        (["--max", "10000000"], "b48da39e8c812996936e752b9f20f3a45930cae37ca91202e88ec04e079e43c1"),
-        (["--max", "200000", "--verbose"], "fd26db408006e156ce7b8057e9852c8d0fdc704c4418ba32c02b007814147fa6"),
+        (["--max", "200000", "--json"], "fe2d130df7305b36a6c0ffa91ed6637dc808b52a3617333e9e048067381fcc2e"),
+        (["--max", "10000000", "--json"], "b48da39e8c812996936e752b9f20f3a45930cae37ca91202e88ec04e079e43c1"),
+        (["--max", "200000", "--verbose", "--json"], "fd26db408006e156ce7b8057e9852c8d0fdc704c4418ba32c02b007814147fa6"),
+        (["--max", "200000", "--verbose"], "b7257ca60722d62cabe658eb5e11339df4fddd862d787d654e3705d3bc38433c"),
     ],
-    ids=["max-200000", "max-10000000", "verbose-max-200000"],
+    ids=["max-200000", "max-10000000", "verbose-max-200000", "human-verbose-max-200000"],
 )
 def test_admissible_largest_outputs_are_pinned(capsys, argv, digest):
-    # the sha256 of the --json text at MAX_VERBOSE_D, plain and verbose, and at MAX_D
-    code, out, _ = run(capsys, "admissible", *argv, "--json")
+    # the sha256 of the --json text at MAX_VERBOSE_D, plain and verbose, and at MAX_D,
+    # and of the human text of the verbose report at MAX_VERBOSE_D
+    code, out, _ = run(capsys, "admissible", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -625,7 +633,7 @@ scalars = st.none() | st.booleans() | st.integers() | big_ints
 @st.composite
 def scalar_rows(draw):
     """A list of dicts with one key set and scalar values, each row with
-    its keys in its own insertion order: the shape of the row fast path."""
+    its keys in its own insertion order: the shape of the report rows."""
     keys = draw(st.lists(st.text(), min_size=1, max_size=5, unique=True))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
@@ -663,7 +671,6 @@ UNIFORM_ROWS = [
     ],
 )
 def test_scalar_rows_take_the_row_path_and_match_json_dumps(rows):
-    assert cli._scalar_rows_text(rows, "\n  ") is not None
     for payload in ({"rows": rows}, {"rows": rows, "nested": {"rows": rows, "n": [1, 2]}}):
         assert emitted(payload) == dumped(payload)
     assert cli._json_text(rows, "\n") == json.dumps(rows, indent=2, sort_keys=True)
@@ -685,14 +692,12 @@ def test_scalar_rows_take_the_row_path_and_match_json_dumps(rows):
     ],
 )
 def test_other_lists_fall_back_and_match_json_dumps(rows):
-    assert cli._scalar_rows_text(rows, "\n  ") is None
     assert emitted({"rows": rows}) == dumped({"rows": rows})
 
 
 def test_rows_with_a_float_fall_back_and_are_refused(capsys):
     # floats are no JSON value of cubiclat: the general path refuses them
     rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 1}]
-    assert cli._scalar_rows_text(rows, "\n  ") is None
     with pytest.raises(TypeError):
         cli.emit("cmd", {"rows": rows}, as_json=True)
     assert capsys.readouterr().out == ""
@@ -708,6 +713,21 @@ def test_scalar_rows_with_an_int_too_long_to_print(capsys):
     try:
         with pytest.raises(ValueError, match="too long to print"):
             cli.emit("cmd", {"rows": rows}, as_json=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter prints integers of any length"
+)
+@pytest.mark.parametrize("ints", [[1, 10**5000, 2], (10**5000,)], ids=["list", "tuple"])
+def test_int_list_with_an_int_too_long_to_print(capsys, ints):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match="too long to print"):
+            cli.emit("cmd", {"ok": [1, 2], "ints": ints}, as_json=True)
     finally:
         sys.set_int_max_str_digits(limit)
     assert capsys.readouterr().out == ""
