@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -316,6 +317,10 @@ def _parser() -> argparse.ArgumentParser:
     Each leaf's ``run`` maps the parsed arguments to (command, payload).
     The handlers look the payload builders up by name when they run, so a
     function rebound in this module after the parser is built still serves.
+    The parser's ``leaves`` maps the command words of each leaf, such as
+    ``("mukai", "verify")`` or ``("scroll-ideal",)``, to the leaf parser and
+    the namespace values its ancestors set; ``_parse_args`` hands an argv
+    that starts with those words to the leaf alone.
     """
     # SUPPRESS keeps an absent subcommand-level --json from clobbering the
     # top-level default in the shared namespace
@@ -337,6 +342,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     source_help = f"catalog name ({', '.join(entry[0] for entry in lattices.CATALOG)}) or lattice file path"
+    parser.leaves = {}
+
+    def leaf(subparsers, words, run, **kwargs):
+        """Add the leaf parser of ``words`` under ``subparsers`` and record it."""
+        p = subparsers.add_parser(words[-1], parents=[common], **kwargs)
+        p.set_defaults(run=run)
+        # the top-level --json default, and each command word under its dest
+        parser.leaves[words] = p, {"json": False, **dict(zip(("command", subparsers.dest), words))}
+        return p
 
     def admissible(a):
         if a.max < 1:
@@ -347,16 +361,19 @@ def _parser() -> argparse.ArgumentParser:
             raise ValueError(f"--max must be at most {admissibility.MAX_VERBOSE_D} with --verbose")
         return "admissible", _reports_payload(a.max) if a.verbose else admissible_payload(a.max, False)
 
-    p = sub.add_parser("admissible", parents=[common], help="enumerate admissible discriminants")
+    p = leaf(sub, ("admissible",), admissible, help="enumerate admissible discriminants")
     p.add_argument("--max", type=_integer, required=True, help="upper bound on d")
     p.add_argument("--verbose", action="store_true", help="include per-d reports")
-    p.set_defaults(run=admissible)
 
     p = sub.add_parser("lattice", parents=[common], help="lattice catalog and files")
     lsub = p.add_subparsers(dest="lattice_command", required=True)
-    q = lsub.add_parser("info", parents=[common], help="rank, determinant, signature, discriminant group")
+    q = leaf(
+        lsub,
+        ("lattice", "info"),
+        lambda a: ("lattice info", lattice_info_payload(resolve_lattice(a.source))),
+        help="rank, determinant, signature, discriminant group",
+    )
     q.add_argument("source", help=source_help)
-    q.set_defaults(run=lambda a: ("lattice info", lattice_info_payload(resolve_lattice(a.source))))
 
     p = sub.add_parser("mukai", parents=[common], help="rank-3 lattices and isotropic triples")
     msub = p.add_subparsers(dest="mukai_command", required=True)
@@ -364,51 +381,95 @@ def _parser() -> argparse.ArgumentParser:
     def verify(a):
         return "mukai verify", mukai_verify_payload(resolve_lattice(a.lattice), a.v, a.vp, a.w, a.d)
 
-    q = msub.add_parser("verify", parents=[common], help="check the four triple conditions")
+    q = leaf(msub, ("mukai", "verify"), verify, help="check the four triple conditions")
     q.add_argument("--lattice", required=True, help=source_help)
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
     q.add_argument("--w", type=_vector, required=True)
     q.add_argument("--d", type=_integer, required=True)
-    q.set_defaults(run=verify)
 
     def search(a):
         if a.bound > mukai.MAX_BOUND:
             raise ValueError(f"--bound must be at most {mukai.MAX_BOUND}")
         return "mukai search", mukai_search_payload(resolve_lattice(a.lattice), a.d, a.bound)
 
-    q = msub.add_parser("search", parents=[common], help="search a coordinate box for a triple")
+    q = leaf(msub, ("mukai", "search"), search, help="search a coordinate box for a triple")
     q.add_argument("--lattice", required=True, help=source_help)
     q.add_argument("--d", type=_integer, required=True)
     q.add_argument("--bound", type=_integer, default=25)
-    q.set_defaults(run=search)
 
-    q = msub.add_parser("gram-lambda", parents=[common], help="Euler-pairing Gram of (lambda1, lambda2)")
-    q.set_defaults(run=lambda a: ("mukai gram-lambda", mukai_gram_lambda_payload()))
+    leaf(
+        msub,
+        ("mukai", "gram-lambda"),
+        lambda a: ("mukai gram-lambda", mukai_gram_lambda_payload()),
+        help="Euler-pairing Gram of (lambda1, lambda2)",
+    )
 
     def normalize(a):
         return "mukai normalize", mukai_normalize_payload(resolve_lattice(a.lattice), a.v, a.vp)
 
-    q = msub.add_parser("normalize", parents=[common], help="split off the hyperbolic plane of (v, v')")
+    q = leaf(msub, ("mukai", "normalize"), normalize, help="split off the hyperbolic plane of (v, v')")
     q.add_argument("--lattice", required=True, help=source_help)
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
-    q.set_defaults(run=normalize)
 
-    p = sub.add_parser("chow", parents=[common], help="surface class relations")
+    p = leaf(sub, ("chow",), lambda a: ("chow", chow_payload(a.surface)), help="surface class relations")
     p.add_argument("--surface", required=True, choices=sorted(chow.SURFACES))
-    p.set_defaults(run=lambda a: ("chow", chow_payload(a.surface)))
 
-    p = sub.add_parser("scroll-ideal", parents=[common], help="minors cutting out the quartic scroll")
-    p.set_defaults(run=lambda a: ("scroll-ideal", scroll_ideal_payload()))
+    leaf(
+        sub,
+        ("scroll-ideal",),
+        lambda a: ("scroll-ideal", scroll_ideal_payload()),
+        help="minors cutting out the quartic scroll",
+    )
 
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsed by the leaf alone where it can be.
+
+    When argv starts with a leaf's command words (two words, or failing
+    that one), the rest goes to that leaf's parser, into a namespace that
+    holds what the levels above it set.  The upper levels only hand the
+    rest down, so the leaf's answer is the tree's, unless it leaves
+    arguments over or fails: the tree's answer names the level that
+    rejects them, and an upper level can reject an argument the leaf also
+    rejects, such as an ambiguous abbreviation.  In those cases, and when
+    argv starts otherwise (``--json`` or ``--help`` first, ``mukai``
+    alone, an unknown command), the whole tree parses argv.  A leaf's
+    help is printed by the leaf parser, as it is under the tree.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2])
+    if words not in parser.leaves:
+        words = words[:1]
+    if words in parser.leaves:
+        leaf, seeds = parser.leaves[words]
+        try:
+            # a refused argv is reparsed by the tree, which prints the error
+            with contextlib.redirect_stderr(io.StringIO()):
+                args, extras = leaf.parse_known_args(argv[len(words):], argparse.Namespace(**seeds))
+        except SystemExit as e:
+            if e.code == 0:  # the leaf printed its help
+                raise
+        else:
+            if not extras:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when argv is None); return its exit code.
+
+    An argv that starts with a leaf's command words is parsed by that
+    leaf's parser alone; any other argv, and one the leaf leaves arguments
+    over from or refuses, by the whole tree (see ``_parse_args``).
+    """
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as e:
             # argparse printed help (0) or a usage error (2)
             code = e.code if isinstance(e.code, int) else USAGE_ERROR

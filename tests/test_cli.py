@@ -5,12 +5,14 @@ against the library-side payload builders, so the CLI can never drift
 from the library.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -596,6 +598,81 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert cli._parser.cache_info().misses == 1
 
 
+
+#: tokens of the random command lines below: command words, options and
+#: their abbreviations, values, and the forms argparse treats apart ("--",
+#: "--d=7", negative numbers, an empty or spaced argument, an abbreviation
+#: that an upper level finds ambiguous)
+ARGV_TOKENS = [
+    "admissible", "lattice", "info", "mukai", "verify", "search", "gram-lambda", "normalize",
+    "chow", "scroll-ideal", "Mukai", "muk", "frob",
+    "--json", "--js", "--json=1", "-h", "--help", "--he", "-hx",
+    "--max", "--max=30", "--ma", "--verbose", "--ver", "--lattice", "--lat", "--lattice=L26",
+    "--v", "--vp", "--w", "--d", "--d=7", "--bound", "--b", "--surface", "--su", "--surface=plane",
+    "--", "-", "--=x", "-=x", "--bogus", "-x", "",
+    "14", "200001", "-26", "26", "0", "L26", "L42", "A2", "1,3,1", "1,0,0", "11,22,7", "-1,2,0", "1,x",
+    "plane", "veronese", "x y",
+]
+LEAF_WORDS = [
+    ("admissible",), ("lattice", "info"), ("mukai", "verify"), ("mukai", "search"),
+    ("mukai", "gram-lambda"), ("mukai", "normalize"), ("chow",), ("scroll-ideal",),
+]
+
+
+def dispatch_argvs(count: int, seed: int) -> list[list[str]]:
+    """Every golden argv, then seeded edits of them and random token lists
+    after command words, with --json put before, between or after them."""
+    golden = [
+        case["argv"]
+        for name in ("golden_cli.json", "golden_cli_human.json")
+        for case in json.loads((pathlib.Path(__file__).parent / name).read_text())
+    ]
+    rng = random.Random(seed)
+    # Python 3.11 refuses "--=x" at the top level, 3.13 at the leaf
+    argvs = [*golden, ["admissible", "--max", "14", "--=x"], ["scroll-ideal"], ["mukai", "verify", "-h"]]
+    for _ in range(count):
+        if rng.random() < 0.5:
+            argv = list(rng.choice(golden))
+            for _ in range(rng.randrange(3)):
+                i = rng.randrange(len(argv) + 1)
+                edit = rng.randrange(3)
+                if edit == 0 or i == len(argv):
+                    argv.insert(i, rng.choice(ARGV_TOKENS))
+                elif edit == 1:
+                    del argv[i]
+                else:
+                    argv[i] = rng.choice(ARGV_TOKENS)
+        else:
+            words = rng.choice([*LEAF_WORDS, (), ("mukai",), ("lattice",), ("frob",)])
+            argv = [*words, *rng.choices(ARGV_TOKENS, k=rng.randrange(7))]
+        for _ in range(rng.randrange(3)):
+            argv.insert(rng.randrange(min(len(argv), 3) + 1), "--json")
+        argvs.append(argv)
+    return argvs
+
+
+def parsed(parse, argv):
+    """The namespace that parse gives argv, as a dict, or the exit code,
+    stdout and stderr with which it refuses argv or prints help."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as e:
+        return e.code, out.getvalue(), err.getvalue()
+
+
+def test_leaf_dispatch_parses_as_the_tree():
+    tree = cli._parser().parse_args
+    outcomes = collections.Counter()
+    for argv in dispatch_argvs(3000, seed=30):
+        got = parsed(cli._parse_args, argv)
+        assert got == parsed(tree, argv), argv
+        outcomes[got[0] if type(got) is tuple else "parsed"] += 1
+    # the corpus reaches every outcome: a namespace, help and a usage error
+    assert min(outcomes["parsed"], outcomes[0], outcomes[2]) >= 100, outcomes
+
+
 def emitted(payload: dict) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -787,13 +864,16 @@ def test_module_execution(tmp_path):
     import subprocess
     import sys
 
-    out = subprocess.run(
-        [sys.executable, "-m", "cubiclat", "admissible", "--max", "14", "--json"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["payload"]["admissible"] == [14]
+    # main(None) reads sys.argv: the first argv goes to the admissible
+    # parser alone, the second, --json first, through the whole tree
+    outs = [
+        subprocess.run([sys.executable, "-m", "cubiclat", *argv], capture_output=True, text=True)
+        for argv in (["admissible", "--max", "14", "--json"], ["--json", "admissible", "--max", "14"])
+    ]
+    for out in outs:
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["payload"]["admissible"] == [14]
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -811,6 +891,7 @@ def test_closed_stdout_exits_1_without_traceback():
         (["admissible", "--max", "200000", "--verbose"], 10),
         (["--help"], 0),
         (["mukai", "--help"], 0),
+        (["mukai", "verify", "--help"], 0),
     ]
     # a buffered stdout fails at the final flush, an unbuffered one at the write
     for argv, head in cases:
