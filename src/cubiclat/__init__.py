@@ -79,7 +79,6 @@ from .lattices import (
     mukai_lattice,
     odd_unimodular,
     orthogonal_complement,
-    saturation,
     save_lattice,
     signature,
     twist,

@@ -218,6 +218,9 @@ def emit(command: str, payload: dict, as_json: bool) -> None:
     except ValueError as e:
         # str() refuses an int longer than the interpreter's digit limit
         raise ValueError("the result holds an integer too long to print") from e
+    # print writes the text, then its newline in a second write; keep both.
+    # Under PYTHONUNBUFFERED=1 a short write to a closed pipe is dropped
+    # without an error, and only the second write raises BrokenPipeError.
     print(text)
 
 
@@ -255,7 +258,8 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # the first item settles a list of dicts without a pass over it
+        # the first item spares the set pass over a list of lists or of
+        # strings, and over the dict-form reports the tests build
         if type(value[0]) is int and set(map(type, value)) == {int}:
             # a list of ints prints as their JSON texts joined by ", ",
             # with no str held per item
@@ -285,9 +289,12 @@ def _human_text(payload: dict, indent: str) -> str:
     return "\n".join(out)
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def _integer(text: str) -> int:
     """Optionally signed ASCII digits amid ASCII whitespace; ``int`` also reads other digits, spaces and ``_``."""
-    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+    if _INTEGER.fullmatch(text):
         with contextlib.suppress(ValueError):  # past the interpreter's digit limit
             return int(text)
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")

@@ -243,22 +243,6 @@ def orthogonal_complement(
     return sub, [LatticeVec(L, b) for b in basis]
 
 
-def saturation(L: Lattice, basis: Sequence) -> list[LatticeVec]:
-    """Basis of the primitive closure of the span of the given vectors.
-
-    The input must be linearly independent over Q.  The output spans the
-    same rational subspace and is saturated; applying the operation twice
-    changes nothing.
-    """
-    coords = [_coerce_coords(L, b) for b in basis]
-    # the saturation is the kernel of the kernel, one vector per unit of
-    # rank: fewer means dependence
-    sat = kernel_basis(IntMatrix(kernel_basis(IntMatrix(coords, ncols=L.rank)), ncols=L.rank))
-    if len(sat) != len(coords):
-        raise ValueError("saturation requires linearly independent input")
-    return [LatticeVec(L, b) for b in sat]
-
-
 # ---------------------------------------------------------------------------
 # small-rank vector enumeration
 

@@ -5,6 +5,7 @@ against the library-side payload builders, so the CLI can never drift
 from the library.
 """
 
+import ast
 import collections
 import contextlib
 import hashlib
@@ -933,3 +934,44 @@ def test_runtime_imports_are_stdlib_only():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == ["cubiclat"]
+
+
+# Module-level functions and classes that no library code references, each
+# kept for a stated reason; any other such definition is test-only code.
+UNCALLED_PUBLIC = {
+    "discriminant_report": "a benchmark query",
+    "orthogonal_complement": "a benchmark query",
+    "is_isometric_small": "a benchmark query",
+    "genus_of_discriminant": "the README example session",
+    "hyperplane_square": "the README's convention for h^2",
+    "save_lattice": "the writer of the lattice file format",
+    "inner_product": "the bilinear form on vectors or coordinates",
+    "signature": "part of invariants, without the elimination modulo |det|",
+    "discriminant_group": "part of invariants",
+    "smith_normal_form": "the discriminant form (ROADMAP item 8) gives it its library caller",
+    "scroll_parameterization": "the parameterization the scroll's minors are tested against",
+    "scroll_membership": "the parameterization the scroll's minors are tested against",
+}
+
+
+def test_library_definitions_have_a_library_reference():
+    defined, used = set(), set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unreferenced = defined - used
+    assert sorted(unreferenced - set(UNCALLED_PUBLIC)) == [], "no library caller and no stated reason"
+    assert sorted(set(UNCALLED_PUBLIC) - unreferenced) == [], "listed but referenced or gone"

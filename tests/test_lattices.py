@@ -9,6 +9,7 @@ import time
 
 import pytest
 import sympy as sp
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cubiclat import lattices
 from cubiclat.errors import DegenerateGramError, LatticeFormatError
@@ -40,7 +41,6 @@ from cubiclat.lattices import (
     mukai_lattice,
     odd_unimodular,
     orthogonal_complement,
-    saturation,
     signature,
     solutions_by_shell,
     twist,
@@ -209,7 +209,20 @@ def test_signature_unimodular_invariance():
 
 
 # ---------------------------------------------------------------------------
-# orthogonal complements and saturation
+# orthogonal complements and primitivity
+
+
+def spans_primitive(vectors):
+    """k integer vectors span a primitive sublattice exactly when their k x n
+    matrix has k unit invariant factors; sympy's Smith form, not cubiclat's."""
+    smith = sympy_snf(sp.Matrix(vectors), domain=sp.ZZ)
+    return all(abs(smith[i, i]) == 1 for i in range(len(vectors)))
+
+
+def test_spans_primitive_rejects_non_primitive_input():
+    assert not spans_primitive([(2, 0)])
+    assert not spans_primitive([(1, 0), (2, 0)])
+    assert not spans_primitive([(2, 4, 0), (0, 6, 3)])
 
 
 def test_complement_in_u():
@@ -229,13 +242,7 @@ def test_complement_of_hyperplane_square():
     assert signature(sub) == (20, 2)
     # h2 is characteristic, so the complement is even, as Gamma is
     assert all(sub.gram.rows[i][i] % 2 == 0 for i in range(sub.rank))
-    # primitivity: saturation of the basis has index 1
-    sat = saturation(L, basis)
-    assert len(sat) == len(basis)
-    sub2 = IntMatrix(
-        [[inner_product(L, x, y) for y in sat] for x in sat], ncols=len(sat)
-    )
-    assert abs(determinant(sub2)) == abs(determinant(sub.gram))
+    assert spans_primitive([b.coords for b in basis])
 
 
 def test_complement_of_spanning_set_is_zero_rank():
@@ -251,33 +258,12 @@ def test_complement_of_nothing_is_everything():
     assert sub.gram == U.gram
 
 
-def test_saturation_examples():
-    L = Lattice(2, IntMatrix([[1, 0], [0, 1]]))
-    sat = saturation(L, [(2, 0)])
-    assert [b.coords for b in sat] == [(1, 0)]
-    sat = saturation(L, [(1, 0), (0, 1)])
-    assert [b.coords for b in sat] == [(1, 0), (0, 1)]
-    with pytest.raises(ValueError):
-        saturation(L, [(1, 0), (2, 0)])
-
-
 def test_saturation_in_l26_has_index_one():
+    # v and w of the pinned triple span a primitive sublattice of L26
     L = kuznetsov_rank3_lattice(26)
-    vecs = [(1, 3, 1), (11, 22, 7)]
-    sat = saturation(L, vecs)
-    assert len(sat) == 2
-    gram_in = IntMatrix([[inner_product(L, x, y) for y in vecs] for x in vecs])
-    gram_sat = IntMatrix(
-        [[inner_product(L, x, y) for y in sat] for x in sat], ncols=2
-    )
-    # equal Gram determinants means saturation index 1
-    assert determinant(gram_in) == determinant(gram_sat)
-    # idempotent
-    again = saturation(L, [s.coords for s in sat])
-    gram_again = IntMatrix(
-        [[inner_product(L, x, y) for y in again] for x in again], ncols=2
-    )
-    assert determinant(gram_again) == determinant(gram_sat)
+    v, w = (1, 3, 1), (11, 22, 7)
+    assert (inner_product(L, v, v), inner_product(L, v, w), inner_product(L, w, w)) == (0, 0, -26)
+    assert spans_primitive([v, w])
 
 
 def _label_sublattice(L, r_coords):
@@ -298,11 +284,7 @@ def test_unimodular_complement_det_identity(r_coords, expected_disc):
     vecs = _label_sublattice(L, r_coords)
     gram_k = IntMatrix([[inner_product(L, x, y) for y in vecs] for x in vecs])
     assert abs(determinant(gram_k)) == expected_disc
-    sat = saturation(L, vecs)
-    gram_sat = IntMatrix(
-        [[inner_product(L, x, y) for y in sat] for x in sat], ncols=2
-    )
-    assert abs(determinant(gram_sat)) == expected_disc  # primitive as given
+    assert spans_primitive(vecs)
     sub, _ = orthogonal_complement(L, vecs)
     assert abs(determinant(sub.gram)) == expected_disc
 
