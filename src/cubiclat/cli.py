@@ -62,16 +62,15 @@ def resolve_lattice(source: str) -> Lattice:
 def admissible_payload(max_d: int, verbose: bool) -> dict:
     """The admissible list up to max_d and, when verbose, a report per d.
 
-    The reports are the plain rows of ``admissibility.report_rows``, one
-    dict per d with its keys in field order, and the admissible list is
-    read off the same rows; no ``DiscriminantReport`` is built.  The
-    command line prints ``_reports_payload``, whose rows need no dicts.
+    The reports are the plain rows ``(d, star, star_star, genus, witness)``
+    of ``admissibility.report_rows`` as a ``_Reports``, and the admissible
+    list is read off the same rows; no ``DiscriminantReport`` and no dict
+    per d is built.  ``emit`` writes each row as the dict of its fields.
     """
     if not verbose:
         return {"max": max_d, "admissible": admissibility.enumerate_admissible(max_d)}
-    payload = _reports_payload(max_d)
-    payload["reports"] = [dict(zip(_REPORT_FIELDS, row)) for row in payload["reports"]]
-    return payload
+    rows = admissibility.report_rows(max_d)
+    return {"max": max_d, "admissible": [row[0] for row in rows if row[2]], "reports": _Reports(rows)}
 
 
 #: the keys of a report row's dict, in field order
@@ -87,8 +86,8 @@ _ROW_KINDS = (
 
 
 class _Reports(tuple):
-    """The rows of ``admissibility.report_rows``, which ``emit`` writes as it
-    would the report dicts of ``admissible_payload``, with one ``%`` a row."""
+    """The rows of ``admissibility.report_rows``, which ``emit`` writes as
+    the dicts of their ``_REPORT_FIELDS``, with one ``%`` a row."""
 
     def texts(self, template) -> list[str]:
         """Each row filled into ``template(report)`` of its kind, the text of
@@ -103,12 +102,6 @@ class _Reports(tuple):
             else failing % (d, genus)
             for d, _, star_star, genus, witness in self
         ]
-
-
-def _reports_payload(max_d: int) -> dict:
-    """The verbose payload, with the rows themselves as its reports."""
-    rows = admissibility.report_rows(max_d)
-    return {"max": max_d, "admissible": [row[0] for row in rows if row[2]], "reports": _Reports(rows)}
 
 
 def lattice_info_payload(L: Lattice) -> dict:
@@ -206,8 +199,8 @@ def scroll_ideal_payload() -> dict:
 def emit(command: str, payload: dict, as_json: bool) -> None:
     """Print the payload; nothing is printed if any of it cannot be rendered.
 
-    The JSON document is the bytes of ``json.dumps(doc, indent=2,
-    sort_keys=True)``; both renderers write ``_Reports`` a template per row kind.
+    The JSON document is the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
+    with ``_Reports`` rows as dicts; both renderers write them a template per row kind.
     """
     try:
         if as_json:
@@ -258,8 +251,7 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # the first item spares the set pass over a list of lists or of
-        # strings, and over the dict-form reports the tests build
+        # the first item spares the set pass over a list of lists or of strings
         if type(value[0]) is int and set(map(type, value)) == {int}:
             # a list of ints prints as their JSON texts joined by ", ",
             # with no str held per item
@@ -280,10 +272,6 @@ def _human_text(payload: dict, indent: str) -> str:
         elif type(value) is _Reports:
             out.append(f"{indent}{key}:")
             out += value.texts(lambda report: f"{_human_text(report, inner)}\n{dash}")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            out.append(f"{indent}{key}:")
-            for item in value:
-                out += (_human_text(item, inner), dash)
         else:
             out.append(f"{indent}{key}: {value}")
     return "\n".join(out)
@@ -366,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
             raise ValueError(f"--max must be at most {admissibility.MAX_D}")
         if a.verbose and a.max > admissibility.MAX_VERBOSE_D:
             raise ValueError(f"--max must be at most {admissibility.MAX_VERBOSE_D} with --verbose")
-        return "admissible", _reports_payload(a.max) if a.verbose else admissible_payload(a.max, False)
+        return "admissible", admissible_payload(a.max, a.verbose)
 
     p = leaf(sub, ("admissible",), admissible, help="enumerate admissible discriminants")
     p.add_argument("--max", type=_integer, required=True, help="upper bound on d")

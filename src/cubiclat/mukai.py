@@ -191,6 +191,14 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
     fully completed candidate wins, so a found triple costs the boxes up
     to the first that holds its v and v', not the whole box.  A found
     triple is checked against its four conditions before it is returned.
+
+    Lemma: a v whose w lies in the box has a v' with |v'_i| <=
+    max(|v_i|, |w_i|, 1), so a missing v' is an internal error.  Proof:
+    P = {s v + t w : |s| + |t| <= 1} lies in the box and, as w^2 != 0 = v^2,
+    is a fundamental domain of Z(v + w) + Z(v - w) in the plane (G v)^perp.
+    So P meets {x - G v / |G v|^2 : x in Z^3, <G v, x> = 1}, not empty as
+    gcd(G v) = 1, at some y; then x = y + G v / |G v|^2 has |x_i| <
+    max(|v_i|, |w_i|) + 1 if |G v| > 1, and x = +-e_j if |G v| = 1.
     """
     if L.rank != 3:
         raise ValueError("triple search requires a rank-3 lattice")
@@ -230,7 +238,7 @@ def find_isotropic_triple(L: Lattice, d: int, bound: int) -> TripleSearch:
             continue
         vprime = _min_dual_one(gv, bound)
         if vprime is None:
-            continue
+            raise RuntimeError(f"internal error: no v' in the box for {v}, {w}")
         triple = IsotropicTriple(
             v=LatticeVec(L, v), vprime=LatticeVec(L, vprime), w=LatticeVec(L, w), d=d
         )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubiclat.admissibility import (
+    DiscriminantReport,
     discriminant_report,
     enumerate_admissible,
     genus_of_discriminant,
@@ -177,6 +178,21 @@ def test_range_ends_at_each_prime_five_mod_six():
 def test_reports_reject_nonpositive_max():
     with pytest.raises(ValueError):
         report_rows(0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: enumerate_admissible(0), "positive integer", id="enumerate-max-0"),
+        pytest.param(
+            lambda: DiscriminantReport(20, False, True, 11, None), r"\(\*\*\) implies", id="star-star-without-star"
+        ),
+        pytest.param(lambda: DiscriminantReport(7, False, False, 4, None), "exactly for even d", id="genus-for-odd-d"),
+    ],
+)
+def test_preconditions_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_runtime_of_enumeration():

@@ -106,6 +106,20 @@ def test_surface_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"degree": 0}, "degree must be positive", id="degree-0"),
+        pytest.param({"ruling": "conic"}, "ruling must be one of", id="ruling-outside-pic-basis"),
+    ],
+)
+def test_surface_spec_preconditions_raise(change, message):
+    spec = dict(name="broken", degree=2, pic_basis=("line",), h_restriction={"line": 1}, rr=1, ruling="line")
+    SurfaceSpec(**spec)
+    with pytest.raises(ValueError, match=message):
+        SurfaceSpec(**{**spec, **change})
+
+
 # ---------------------------------------------------------------------------
 # generically defined cycle generators
 

@@ -91,6 +91,16 @@ def test_mul_examples():
     assert coh(ref_todd()) * coh(trunc(1 / ref_todd())) == CohClass([1])
 
 
+@pytest.mark.parametrize("product", [lambda c: c * 2, lambda c: 2 * c], ids=["class-times-int", "int-times-class"])
+def test_mul_by_a_scalar_scales(product):
+    assert product(CohClass([1, 0, Fraction(1, 3)])) == CohClass([2, 0, Fraction(2, 3)])
+
+
+def test_six_coefficients_raise():
+    with pytest.raises(ValueError, match="at most five coefficients"):
+        CohClass([1, 0, 0, 0, 0, 1])
+
+
 def test_integral():
     assert integral(CohClass([0, 0, 0, 0, 1])) == 3
     assert integral(CohClass([1])) == 0

@@ -17,6 +17,7 @@ from cubiclat.errors import DegenerateGramError
 from cubiclat.exactlinalg import (
     IntMatrix,
     determinant,
+    dot,
     invariant_factors_mod,
     kernel_basis,
     ldlt_signature,
@@ -171,6 +172,28 @@ def test_determinant_examples():
 def test_determinant_rejects_nonsquare():
     with pytest.raises(ValueError):
         determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_determinant_of_the_empty_matrix_is_one():
+    assert determinant(IntMatrix([])) == 1
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: dot((1, 2), (1, 2, 3)), "vector length mismatch", id="dot-lengths"),
+        pytest.param(lambda: IntMatrix([[1, 2]], ncols=3), "ncols does not match", id="ncols"),
+        pytest.param(lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), "dimension mismatch", id="matmul"),
+        pytest.param(lambda: IntMatrix([[1, 2]]).mul_vec((1,)), "dimension mismatch", id="mul-vec"),
+    ],
+)
+def test_shape_preconditions_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_non_square_matrix_is_not_symmetric():
+    assert not IntMatrix([[1, 0, 0], [0, 1, 0]]).is_symmetric()
 
 
 def test_determinant_against_laplace_oracle():

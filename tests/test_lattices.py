@@ -18,6 +18,7 @@ from cubiclat.lattices import (
     ISOMETRIC,
     NOT_FOUND_WITHIN_BOUND,
     NOT_ISOMETRIC,
+    DiscriminantGroup,
     Lattice,
     LatticeVec,
     a2,
@@ -167,6 +168,24 @@ def test_discriminant_groups():
     assert discriminant_group(a2()).factors == (3,)
     assert discriminant_group(k3_polarized_primitive(26)).factors == (26,)
     assert discriminant_group(cubic_lattice()).factors == (3,)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: Lattice(-1, IntMatrix([])), "rank must be nonnegative", id="negative-rank"),
+        pytest.param(lambda: DiscriminantGroup((1, 2)), "must exceed 1", id="factor-1"),
+        pytest.param(lambda: DiscriminantGroup((2, 3)), "divisibility chain", id="non-chain"),
+        pytest.param(lambda: odd_unimodular(-1, 2), r"p, q >= 0", id="odd-unimodular-negative"),
+    ],
+)
+def test_preconditions_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_trivial_discriminant_group_prints_trivial():
+    assert str(DiscriminantGroup(())) == "trivial"
 
 
 def test_discriminant_group_rejects_degenerate():

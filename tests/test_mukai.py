@@ -27,6 +27,7 @@ from cubiclat.lattices import (
     lattice_by_name,
     odd_unimodular,
     orthogonal_complement,
+    solutions_by_shell,
     z_lattice,
 )
 from cubiclat.mukai import (
@@ -247,6 +248,13 @@ def test_find_checks_the_triple_before_returning_it(monkeypatch):
         find_isotropic_triple(L26, 26, 25)
 
 
+def test_find_fails_loudly_without_a_vprime_in_the_box(monkeypatch):
+    # the lemma of find_isotropic_triple rules this out; a broken walk must not skip v
+    monkeypatch.setattr(mukai, "_min_dual_one", lambda gv, bound: None)
+    with pytest.raises(RuntimeError, match="no v' in the box"):
+        find_isotropic_triple(L26, 26, 25)
+
+
 def test_find_rejects_bad_input():
     with pytest.raises(ValueError):
         find_isotropic_triple(hyperbolic_plane(), 26, 5)
@@ -444,6 +452,32 @@ def test_found_triples_are_pinned():
         negative += min(got[0]) < 0
     # a v with a negative coordinate bounds the multiple of v in w from the other side
     assert negative >= len(PINNED_TRIPLES) // 3
+
+
+def test_vprime_lies_in_the_box_of_v_and_w():
+    # the lemma of find_isotropic_triple: a v' with |v'_i| <= max(|v_i|, |w_i|, 1)
+    rng = random.Random(32)
+    pairs = unit = 0
+    for _ in range(300):
+        e = rng.randint(1, 30)
+        plane = rng.choice(
+            (hyperbolic_plane(), Lattice(2, IntMatrix([[0, 1], [1, 1]])), direct_sum([z_lattice(1), z_lattice(-1)]))
+        )
+        gram = unimodular_conjugate(rng, direct_sum([plane, z_lattice(-e)]).gram)
+        k, bound = rng.randint(1, 3), rng.randint(1, 10)
+        for v in solutions_by_shell(gram.rows, (0, 0, 0), 0, bound):
+            gv = gram.mul_vec(v)
+            if math.gcd(*gv) != 1:
+                continue
+            w = mukai._min_w(v, gv, k, bound)
+            if w is None:
+                continue
+            side = max(1, *map(abs, v), *map(abs, w))
+            assert mukai._min_dual_one(gv, side) is not None, (gram, v, w)
+            pairs += 1
+            unit += sum(g * g for g in gv) == 1
+    # 1,800 pairs, 276 of them with |G v| = 1: both cases of the proof
+    assert pairs >= 1500 and 100 <= unit <= pairs - 1000
 
 
 # ---------------------------------------------------------------------------
