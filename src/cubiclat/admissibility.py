@@ -10,7 +10,9 @@ Discriminants satisfying (**) are called admissible; they are exactly
 the ones with an associated polarized K3 surface, of genus d/2 + 1.
 A single d is tested by trial division of d/2, which is O(sqrt d).
 ``enumerate_admissible`` sieves the range into a bytearray, one byte per
-d/2, and reads it back with no Python loop over d.  ``report_rows``
+d/2, and reads it back with no Python loop over d.  The process holds
+the admissible list of the largest range it has sieved and answers any
+range inside it with a slice of that list.  ``report_rows``
 reads a witness table, sieved once over every d/2 <= max_d/2, and makes
 the range report in one loop over it, as plain tuples with no call per
 d, which feed both renderers of ``admissible --verbose``;
@@ -20,13 +22,15 @@ witness of one d.  Both sieves list their primes with one helper.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
 #: largest range the command line accepts; it bounds the sieve of
-#: ``enumerate_admissible``, which holds one byte per d/2
+#: ``enumerate_admissible``, which holds one byte per d/2, and the
+#: admissible list the process holds (513,592 ints at 10**7)
 MAX_D = 10**7
 
 #: largest range the command line reports d by d (``admissible --verbose``);
@@ -113,8 +117,30 @@ def _witness_table(max_half: int) -> list[int]:
     return table
 
 
+#: (top, ds): ds is the admissible list up to top, the largest range
+#: sieved so far in this process; rebound whole, never mutated
+_held: tuple[int, list[int]] = (0, [])
+
+
 def enumerate_admissible(max_d: int) -> list[int]:
-    """All admissible d <= max_d, ascending.
+    """All admissible d <= max_d, ascending, as a new list.
+
+    A range inside the held one is a slice of its list; a larger range
+    is sieved and becomes the held one.
+    """
+    global _held
+    if max_d < 1:
+        raise ValueError("max_d must be a positive integer")
+    top, ds = _held
+    if max_d <= top:
+        return ds[: bisect_right(ds, max_d)]
+    ds = _sieve_admissible(max_d)
+    _held = (max_d, ds)
+    return ds.copy()
+
+
+def _sieve_admissible(max_d: int) -> list[int]:
+    """All admissible d <= max_d, ascending, sieved.
 
     d is admissible exactly when h = d/2 is at least 4, is 1 or 3
     (mod 6), and is an odd multiple neither of 9 nor of a prime
@@ -122,8 +148,6 @@ def enumerate_admissible(max_d: int) -> list[int]:
     prime factor p = 2 (mod 3).  An odd multiple of p that is 1 or 3
     (mod 6) is at least 3p, so the primes up to max_d/6 suffice.
     """
-    if max_d < 1:
-        raise ValueError("max_d must be a positive integer")
     n = max_d // 2 + 1
     primes = _primes_two_mod_three((n - 1) // 3)
     # clear every odd multiple h of 9 and of each prime p = 5 (mod 6)

@@ -3,17 +3,22 @@
 The oracle is a smallest-prime-factor sieve, which factors every d/2 in
 the tested range independently of the trial division in the library.
 The range functions sieve the whole range; they are compared with the
-per-d trial division.
+per-d trial division.  Each test starts with no admissible list held
+(``conftest.py``), so ``enumerate_admissible`` sieves unless the test
+asked for a larger range before.
 """
 
 import math
+import random
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cubiclat import admissibility
 from cubiclat.admissibility import (
     DiscriminantReport,
+    _sieve_admissible,
     discriminant_report,
     enumerate_admissible,
     genus_of_discriminant,
@@ -160,6 +165,70 @@ def test_table_matches_trial_division_for_every_max_up_to_300():
         assert enumerate_admissible(m) == per_d_admissible(m), m
         reports = list(map(discriminant_report, range(1, m + 1)))
         assert report_rows(m) == list(map(astuple, reports)), m
+
+
+def test_report_columns_follow_the_per_d_rules():
+    # the star and genus columns against the public per-d rules, which
+    # share no code with the row builder
+    rows = report_rows(10**4)
+    assert [row[0] for row in rows] == list(range(1, 10**4 + 1))
+    for d, star, star_star, genus, witness in rows:
+        assert star == satisfies_star(d), d
+        assert genus == (genus_of_discriminant(d) if d % 2 == 0 else None), d
+        assert (star_star, witness) == satisfies_star_star(d), d
+
+
+def count_sieves(monkeypatch):
+    """Count the calls of the sieve behind enumerate_admissible."""
+    calls = []
+
+    def sieve(max_d):
+        calls.append(max_d)
+        return _sieve_admissible(max_d)
+
+    monkeypatch.setattr(admissibility, "_sieve_admissible", sieve)
+    return calls
+
+
+def test_held_list_answers_ranges_in_any_order(monkeypatch):
+    rng = random.Random(33)
+
+    def draw(k):
+        return [rng.randint(1, 300) if rng.random() < 0.4 else rng.randint(1, 3 * 10**5) for _ in range(k)]
+
+    order = [14, 13, 1] + sorted(draw(70)) + sorted(draw(70), reverse=True) + draw(77)
+    order += rng.sample(order, 80)  # ranges asked for before
+    sieved = count_sieves(monkeypatch)
+    for m in order:
+        assert enumerate_admissible(m) == _sieve_admissible(m), m
+        if m <= 300:
+            assert enumerate_admissible(m) == per_d_admissible(m), m
+    # only a range larger than every earlier one is sieved
+    assert sieved == [m for i, m in enumerate(order) if m > max(order[:i], default=0)]
+    assert admissibility._held[0] == max(order)
+    assert len(order) == 300 and sum(m <= 300 for m in order) >= 60
+
+
+def test_returned_lists_are_the_callers(monkeypatch):
+    sieved = count_sieves(monkeypatch)
+    enumerate_admissible(1000).clear()  # a miss
+    assert enumerate_admissible(1000) == _sieve_admissible(1000)
+    enumerate_admissible(2000).append(2)  # a miss
+    enumerate_admissible(500).clear()  # a hit
+    enumerate_admissible(2000).append(3)  # a hit
+    for m in (500, 1000, 2000):
+        assert enumerate_admissible(m) == _sieve_admissible(m), m
+    assert sieved == [1000, 2000]
+
+
+def test_larger_range_replaces_the_held_one(monkeypatch):
+    sieved = count_sieves(monkeypatch)
+    assert enumerate_admissible(100) == _sieve_admissible(100)
+    assert enumerate_admissible(10**4) == _sieve_admissible(10**4)
+    assert admissibility._held == (10**4, _sieve_admissible(10**4))
+    for m in (100, 5000, 10**4):
+        assert enumerate_admissible(m) == _sieve_admissible(m)
+    assert sieved == [100, 10**4]
 
 
 def test_range_ends_at_each_prime_five_mod_six():

@@ -144,13 +144,24 @@ def assert_one_error_line(code, out, err):
 
 
 def test_admissible_max_ceiling_exit_4_before_sieving(capsys, monkeypatch):
-    # both sieves, the plain list and the verbose witness table, list their primes first
+    # both sieves, the plain list and the verbose witness table, list their primes
+    # first; each test starts with no admissible list held, so MAX_D is sieved
     monkeypatch.setattr(admissibility, "_primes_two_mod_three", refuse)
     over = str(admissibility.MAX_D + 1)
     assert_one_error_line(*run(capsys, "admissible", "--max", over))
     assert_one_error_line(*run(capsys, "admissible", "--max", over, "--verbose"))
     with pytest.raises(Started):
         cli.main(["admissible", "--max", str(admissibility.MAX_D)])
+
+
+def test_admissible_slice_of_the_held_list_is_pinned(capsys, monkeypatch):
+    # after MAX_D is sieved, --max 200000 is answered from the held list
+    # with the same bytes as the sieve gives a cold process
+    assert run(capsys, "admissible", "--max", "10000000", "--json")[0] == 0
+    monkeypatch.setattr(admissibility, "_sieve_admissible", refuse)
+    code, out, _ = run(capsys, "admissible", "--max", "200000", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "fe2d130df7305b36a6c0ffa91ed6637dc808b52a3617333e9e048067381fcc2e"
 
 
 def test_mukai_search_bound_ceiling_exit_4_before_searching(capsys, monkeypatch):
