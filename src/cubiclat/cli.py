@@ -162,30 +162,42 @@ def mukai_normalize_payload(L: Lattice, v, vp) -> dict:
 
 
 def chow_payload(name: str) -> dict:
+    """The Chow data of the surface ``chow.SURFACES[name]``.
+
+    Its parts are computed once per surface name, four at most, and held as
+    tuples of ints and strings (``_chow_parts``); each call returns a new
+    dict of new lists and dicts.
+    """
     spec = chow.SURFACES[name]
-    gram, disc = chow.label_gram(spec.degree, spec.rr)
-    relation = chow.pushforward_relation(spec)
-    gd = chow.gdch_generators(spec)
-    restricted = chow.restricted_pushforward(spec)
+    gram, disc, relation, restricted_class, restricted_text, generators, collapsed = _chow_parts(name)
     return {
         "surface": spec.name,
         "degree": spec.degree,
         "rr": spec.rr,
-        "label_gram": gram.to_lists(),
+        "label_gram": [list(row) for row in gram],
         "discriminant": disc,
-        "relation": relation.text(),
-        "restricted_pushforward": {
-            "class": {
-                sym: c.numerator if c.denominator == 1 else str(c)
-                for sym, c in restricted.coeffs.items()
-            },
-            "text": restricted.text(),
-        },
-        "gdch": {
-            "generators": [g.text() for g in gd.generators],
-            "collapsed": gd.collapsed,
-        },
+        "relation": relation,
+        "restricted_pushforward": {"class": dict(restricted_class), "text": restricted_text},
+        "gdch": {"generators": list(generators), "collapsed": collapsed},
     }
+
+
+@functools.cache
+def _chow_parts(name: str) -> tuple:
+    """The parts of ``chow_payload(name)`` that ``chow`` computes, as immutable values."""
+    spec = chow.SURFACES[name]
+    gram, disc = chow.label_gram(spec.degree, spec.rr)
+    restricted = chow.restricted_pushforward(spec)
+    gd = chow.gdch_generators(spec)
+    return (
+        gram.rows,
+        disc,
+        chow.pushforward_relation(spec).text(),
+        tuple((sym, c.numerator if c.denominator == 1 else str(c)) for sym, c in restricted.coeffs.items()),
+        restricted.text(),
+        tuple(g.text() for g in gd.generators),
+        gd.collapsed,
+    )
 
 
 def scroll_ideal_payload() -> dict:

@@ -271,12 +271,15 @@ def invariant_factors_mod(G: IntMatrix, D: int) -> tuple[int, ...]:
     that row, so the pivot's row and column are dropped instead.  A pivot
     e gives the factor gcd(e, D), a remaining block that is zero modulo D
     gives one factor D per row, and gcd/lcm swaps sort the factors into a
-    divisibility chain.
+    divisibility chain.  D = 1 (a unimodular G) has no factor > 1 and
+    returns () at once.
     """
     if not G.is_square():
         raise ValueError("invariant_factors_mod requires a square matrix")
     if D < 1:
         raise ValueError("the modulus must be positive")
+    if D == 1:
+        return ()
     a = [[e % D for e in row] for row in G.rows]
     pivots = []
     while a:

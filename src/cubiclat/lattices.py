@@ -16,6 +16,7 @@ canonical ones exist):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -49,6 +50,10 @@ class Lattice:
     rank: int
     gram: IntMatrix
     label: str | None = field(default=None, compare=False)
+
+    # what ``invariants`` returned on its first call, kept on the instance;
+    # not a field, so it takes no part in init, eq, hash or repr
+    _invariants = None
 
     def __post_init__(self):
         if self.rank < 0:
@@ -108,10 +113,17 @@ class DiscriminantGroup:
 # ---------------------------------------------------------------------------
 # constructions
 
+# The constructions without an argument, and kuznetsov_rank3_lattice at its
+# two d, are built once per process, on the first call (functools.cache).
+# A Lattice is frozen, so every caller may share the one instance.  The
+# constructions with an argument (Z(n), I(p,q), Lambda_d, twists and sums)
+# build a new lattice on every call, so what a process holds is bounded by
+# the catalog, not by its input.
 
 _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
 
+@functools.cache
 def e8() -> Lattice:
     """The positive definite even unimodular rank-8 lattice."""
     g = [[0] * 8 for _ in range(8)]
@@ -122,10 +134,12 @@ def e8() -> Lattice:
     return Lattice(8, IntMatrix(g), label="E8")
 
 
+@functools.cache
 def hyperbolic_plane() -> Lattice:
     return Lattice(2, IntMatrix([[0, 1], [1, 0]]), label="U")
 
 
+@functools.cache
 def a2() -> Lattice:
     return Lattice(2, IntMatrix([[2, -1], [-1, 2]]), label="A2")
 
@@ -203,15 +217,31 @@ def invariants(L: Lattice) -> tuple[tuple[int, int], int, DiscriminantGroup]:
     is degenerate.  A det with more digits than the interpreter prints
     (``sys.get_int_max_str_digits``) raises ``ValueError`` before the
     elimination, which on such entries runs for minutes.
+
+    The result depends only on the frozen Gram, so the first call keeps
+    it on L and later calls return it as it is; it is immutable.  An
+    error is not kept, and the digit limit is checked on every call, under
+    the limit of that call.  The catalog lattices a process holds (see
+    ``lattice_by_name``) thus hold their invariants too.
     """
-    p, n, _, det = ldlt_signature(L.gram)
-    if det == 0:
-        raise DegenerateGramError("lattice invariants require a nondegenerate Gram")
+    if L._invariants is None:
+        p, n, _, det = ldlt_signature(L.gram)
+        if det == 0:
+            raise DegenerateGramError("lattice invariants require a nondegenerate Gram")
+        _require_printable(det)
+        group = DiscriminantGroup(invariant_factors_mod(L.gram, abs(det)))
+        object.__setattr__(L, "_invariants", ((p, n), det, group))
+    else:
+        _require_printable(L._invariants[1])
+    return L._invariants
+
+
+def _require_printable(det: int) -> None:
+    """Raise ``ValueError`` when det has more digits than the interpreter prints."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # 10^limit has more than 3 limit bits: the exact test runs only past that
     if limit and abs(det).bit_length() > 3 * limit and abs(det) >= 10**limit:
         raise ValueError("the result holds an integer too long to print")
-    return (p, n), det, DiscriminantGroup(invariant_factors_mod(L.gram, abs(det)))
 
 
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
@@ -482,12 +512,14 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
 # named lattices
 
 
+@functools.cache
 def cubic_lattice() -> Lattice:
     """Rank-22 lattice E8 + E8 + U + U + A2 of signature (20, 2)."""
     L = direct_sum([e8(), e8(), hyperbolic_plane(), hyperbolic_plane(), a2()])
     return Lattice(L.rank, L.gram, label="Gamma")
 
 
+@functools.cache
 def k3_lattice() -> Lattice:
     """Rank-22 lattice E8(-1) + E8(-1) + U + U + U of signature (3, 19)."""
     m1 = twist(e8(), -1)
@@ -496,6 +528,7 @@ def k3_lattice() -> Lattice:
     return Lattice(L.rank, L.gram, label="K3")
 
 
+@functools.cache
 def mukai_lattice() -> Lattice:
     """Rank-24 lattice E8 + E8 + U + U + U + U of signature (20, 4)."""
     u = hyperbolic_plane()
@@ -513,6 +546,7 @@ def k3_polarized_primitive(d: int) -> Lattice:
     return Lattice(L.rank, L.gram, label=f"Lambda_{d}")
 
 
+@functools.cache
 def middle_lattice() -> Lattice:
     """The odd unimodular lattice I(21, 2) of rank 23."""
     return odd_unimodular(21, 2)
@@ -529,6 +563,7 @@ def hyperplane_square() -> LatticeVec:
     return LatticeVec(L, (1,) * 21 + (3, 3))
 
 
+@functools.cache
 def kuznetsov_rank3_lattice(d: int) -> Lattice:
     """Built-in rank-3 lattice of determinant d on basis (lambda1, lambda2, tau).
 
@@ -674,7 +709,12 @@ def lattice_by_name(name: str) -> Lattice:
     """Resolve a name, surrounding ASCII whitespace ignored, by the first entry
     of ``CATALOG`` whose pattern matches all of it, or raise ``ValueError``;
     an integer argument of more than ``MAX_INT_DIGITS`` digits, sign not
-    counted, is refused before it is converted, as in a file."""
+    counted, is refused before it is converted, as in a file.
+
+    The nine entries without an argument (E8, U, A2, Gamma, K3, Mukai,
+    I21_2, L26, L42) are built once per process and returned as the same
+    frozen lattice on every call, with its invariants once computed; the
+    entries with an argument (Z(n), I(p,q), Lambda_d) are built anew."""
     # str.strip() would also take Unicode spaces, which no pattern accepts
     key = name.strip(" \t\n\r\f\v")
     for _, pattern, build, _ in CATALOG:

@@ -2,12 +2,19 @@
 
 import pytest
 
-from cubiclat import admissibility
+from cubiclat import admissibility, cli, lattices
+
+#: the catalog lattices a process builds once: every functools.cache of lattices
+HELD_LATTICES = [f for f in vars(lattices).values() if hasattr(f, "cache_clear")]
 
 
 @pytest.fixture(autouse=True)
-def no_admissible_list_held():
-    """Start each test with no admissible list held, as every cubiclat
-    process starts, so a range is sieved unless the test itself sieved a
-    larger one first."""
+def nothing_held():
+    """Start each test with nothing held, as every cubiclat process starts:
+    no admissible list, so a range is sieved unless the test itself sieved
+    a larger one first; no catalog lattice, so a name is built and its
+    invariants computed; and no Chow surface parts."""
     admissibility._held = (0, [])
+    for build in HELD_LATTICES:
+        build.cache_clear()
+    cli._chow_parts.cache_clear()

@@ -579,6 +579,36 @@ def test_chow_payloads_match_library(capsys):
         )
 
 
+def test_payloads_of_held_values_are_the_callers(capsys):
+    # the catalog lattices and the Chow parts are held; what a payload
+    # builder returns is new, so changing it changes no later answer
+    fixed = [cli.lattice_info_payload(lattices.lattice_by_name(n)) for n in ("K3", "L26")]
+    surfaces = [cli.chow_payload(s) for s in sorted(chow.SURFACES)]
+    expected = json.dumps([fixed, surfaces], sort_keys=True)
+    for payload in fixed:
+        payload["gram"][0][0] = 99
+        payload["gram"].append([1])
+        payload["discriminant_group"].append(7)
+    for payload in surfaces:
+        payload["gdch"]["generators"].append("h^5")
+        payload["gdch"]["generators"][0] = "0"
+        payload["label_gram"][0][0] = 99
+        payload["restricted_pushforward"]["class"]["ell"] = 1
+    again = [cli.lattice_info_payload(lattices.lattice_by_name(n)) for n in ("K3", "L26")]
+    assert json.dumps([again, [cli.chow_payload(s) for s in sorted(chow.SURFACES)]], sort_keys=True) == expected
+    assert run_json(capsys, "chow", "--surface", "plane")["payload"] == json.loads(expected)[1][0]
+
+
+def test_chow_parts_are_held_once_per_surface():
+    assert cli._chow_parts.cache_info().currsize == 0
+    for _ in range(3):
+        for name in chow.SURFACES:
+            cli.chow_payload(name)
+    with pytest.raises(KeyError):
+        cli.chow_payload("cubic")
+    assert cli._chow_parts.cache_info().currsize == len(chow.SURFACES) == 4
+
+
 # ---------------------------------------------------------------------------
 # scroll ideal
 

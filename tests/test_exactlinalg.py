@@ -528,6 +528,26 @@ def test_invariant_factors_mod_and_bareiss_det_match_sympy():
     assert degenerate >= 10 and noncyclic >= 10
 
 
+def test_invariant_factors_mod_one_on_unimodular_conjugates_matches_sympy():
+    # D = 1 returns () before any reduction; sympy's Smith form of each
+    # seeded conjugate Q^T G Q of a unimodular Gram has units only
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    from cubiclat.lattices import e8, k3_lattice, middle_lattice, mukai_lattice, odd_unimodular
+
+    rng = random.Random(34)
+    bases = [L.gram for L in (e8(), k3_lattice(), mukai_lattice(), middle_lattice(), odd_unimodular(12, 12))]
+    bases += [IntMatrix([[rng.choice((-1, 1)) if i == j else 0 for j in range(n)] for i in range(n)]) for n in range(1, 9)]
+    for base in bases:
+        Q = random_unimodular(rng, base.nrows)
+        G = Q.transpose() @ base @ Q
+        assert abs(ldlt_signature(G)[3]) == 1
+        snf = sympy_snf(Matrix(G.to_lists()), domain=ZZ)
+        assert [abs(int(snf[i, i])) for i in range(G.nrows)] == [1] * G.nrows, G
+        assert invariant_factors_mod(G, 1) == ()
+
+
 def test_invariant_factors_mod_examples():
     assert invariant_factors_mod(IntMatrix([[2, 0], [0, 3]]), 6) == (6,)
     assert invariant_factors_mod(IntMatrix([[2, 4], [4, 2]]), 12) == (2, 6)

@@ -129,6 +129,19 @@ def test_golden_cli_human_output(capsys, entry):
     assert (code, capsys.readouterr().out) == (entry["exit"], entry["stdout"])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [e for path in (GOLDEN, GOLDEN_HUMAN) for e in json.loads(path.read_text()) if e["exit"] == 0],
+    ids=lambda e: " ".join(e["argv"]),
+)
+def test_golden_cli_output_is_the_same_when_held(capsys, entry):
+    # the second run answers from what the first left held: the catalog
+    # lattice with its invariants, the Chow parts, the admissible list
+    for _ in range(2):
+        code = cli.main(list(entry["argv"]))
+        assert (code, capsys.readouterr().out) == (0, entry["stdout"])
+
+
 def golden_lattice_info():
     """The payload of each `lattice info NAME --json` entry that exits 0."""
     return {

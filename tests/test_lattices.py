@@ -779,6 +779,89 @@ def test_lattice_by_name_strips_ascii_whitespace_only():
             lattice_by_name(name)
 
 
+#: the catalog names without an argument, one per held lattice
+FIXED_NAMES = ("E8", "U", "A2", "Gamma", "K3", "Mukai", "I21_2", "L26", "L42")
+
+
+def held_lattices():
+    """How many lattices the catalog's builders hold."""
+    return sum(f.cache_info().currsize for f in vars(lattices).values() if hasattr(f, "cache_info"))
+
+
+def test_fixed_catalog_names_are_built_once():
+    assert held_lattices() == 0
+    assert lattice_by_name(" k3\t") is lattice_by_name("K3") is k3_lattice()
+    for name in FIXED_NAMES:
+        assert lattice_by_name(name) is lattice_by_name(name.lower())
+    assert held_lattices() == len(FIXED_NAMES)
+    # the Lambda_d summands are held ones, but no Lambda_d is
+    assert lattice_by_name("Lambda_26") is not lattice_by_name("Lambda_26")
+    assert lattice_by_name("Z(5)") is not lattice_by_name("Z(5)")
+    with pytest.raises(ValueError):
+        kuznetsov_rank3_lattice(14)
+    assert held_lattices() == len(FIXED_NAMES)
+
+
+def test_parametrized_names_hold_nothing():
+    for name in FIXED_NAMES:
+        lattice_by_name(name)
+    rng = random.Random(34)
+    names = {f"Z({rng.choice((-1, 1)) * rng.randint(1, 10**6)})" for _ in range(400)}
+    names |= {f"Lambda_{rng.randint(1, 10**6)}" for _ in range(300)}
+    names |= {f"I({p},{q})" for p in range(20) for q in range(20) if p + q}
+    assert len(names) >= 1000
+    for name in names:
+        lattice_by_name(name)
+    assert held_lattices() == len(FIXED_NAMES)
+
+
+def test_invariants_of_a_lattice_are_computed_once(monkeypatch):
+    passes = []
+
+    def counted(gram):
+        passes.append(gram)
+        return ldlt_signature(gram)
+
+    monkeypatch.setattr(lattices, "ldlt_signature", counted)
+    L = lattice_by_name("Mukai")
+    first = lattices.invariants(L)
+    assert lattices.invariants(L) is first and lattices.invariants(lattice_by_name("mukai")) is first
+    assert first == ((20, 4), 1, DiscriminantGroup(()))
+    assert len(passes) == 1
+    # a lattice built anew computes its own
+    assert lattices.invariants(Lattice(L.rank, L.gram)) == first
+    assert len(passes) == 2
+
+
+def test_invariants_errors_are_not_kept():
+    degenerate = Lattice(2, IntMatrix([[1, 1], [1, 1]]))
+    for _ in range(2):
+        with pytest.raises(DegenerateGramError):
+            lattices.invariants(degenerate)
+    assert degenerate._invariants is None
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter prints integers of any length"
+)
+def test_kept_invariants_obey_the_digit_limit_of_each_call():
+    # det = 10^700 + 1 prints under the limit 4300, not under the lowest, 640
+    L = Lattice(1, IntMatrix([[10**700 + 1]]))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        kept = lattices.invariants(L)
+        assert kept[1] == 10**700 + 1 and L._invariants is kept
+        sys.set_int_max_str_digits(640)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too long to print"):
+                lattices.invariants(L)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert lattices.invariants(L) is kept
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_readme_catalog_table_lists_the_catalog():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("Catalog names understood")[1].split("\n\n")[1]
