@@ -62,15 +62,16 @@ def resolve_lattice(source: str) -> Lattice:
 def admissible_payload(max_d: int, verbose: bool) -> dict:
     """The admissible list up to max_d and, when verbose, a report per d.
 
-    The reports are the plain rows ``(d, star, star_star, genus, witness)``
-    of ``admissibility.report_rows`` as a ``_Reports``, and the admissible
-    list is read off the same rows; no ``DiscriminantReport`` and no dict
-    per d is built.  ``emit`` writes each row as the dict of its fields.
+    The list is ``admissibility.enumerate_admissible(max_d)``, a slice of
+    the one the process holds.  The reports are the plain rows of
+    ``admissibility.report_rows`` as a ``_Reports``; no
+    ``DiscriminantReport`` and no dict per d is built.  ``emit`` writes each
+    row as the dict of its fields.
     """
-    if not verbose:
-        return {"max": max_d, "admissible": admissibility.enumerate_admissible(max_d)}
-    rows = admissibility.report_rows(max_d)
-    return {"max": max_d, "admissible": [row[0] for row in rows if row[2]], "reports": _Reports(rows)}
+    payload = {"max": max_d, "admissible": admissibility.enumerate_admissible(max_d)}
+    if verbose:
+        payload["reports"] = _Reports(admissibility.report_rows(max_d))
+    return payload
 
 
 #: the keys of a report row's dict, in field order
@@ -162,46 +163,41 @@ def mukai_normalize_payload(L: Lattice, v, vp) -> dict:
 
 
 def chow_payload(name: str) -> dict:
-    """The Chow data of the surface ``chow.SURFACES[name]``.
-
-    Its parts are computed once per surface name, four at most, and held as
-    tuples of ints and strings (``_chow_parts``); each call returns a new
-    dict of new lists and dicts.
-    """
-    spec = chow.SURFACES[name]
-    gram, disc, relation, restricted_class, restricted_text, generators, collapsed = _chow_parts(name)
-    return {
-        "surface": spec.name,
-        "degree": spec.degree,
-        "rr": spec.rr,
-        "label_gram": [list(row) for row in gram],
-        "discriminant": disc,
-        "relation": relation,
-        "restricted_pushforward": {"class": dict(restricted_class), "text": restricted_text},
-        "gdch": {"generators": list(generators), "collapsed": collapsed},
-    }
-
-
-@functools.cache
-def _chow_parts(name: str) -> tuple:
-    """The parts of ``chow_payload(name)`` that ``chow`` computes, as immutable values."""
+    """The Chow data of the surface ``chow.SURFACES[name]``, computed by
+    ``chow`` into a new dict on every call."""
     spec = chow.SURFACES[name]
     gram, disc = chow.label_gram(spec.degree, spec.rr)
     restricted = chow.restricted_pushforward(spec)
     gd = chow.gdch_generators(spec)
-    return (
-        gram.rows,
-        disc,
-        chow.pushforward_relation(spec).text(),
-        tuple((sym, c.numerator if c.denominator == 1 else str(c)) for sym, c in restricted.coeffs.items()),
-        restricted.text(),
-        tuple(g.text() for g in gd.generators),
-        gd.collapsed,
-    )
+    return {
+        "surface": spec.name,
+        "degree": spec.degree,
+        "rr": spec.rr,
+        "label_gram": gram.to_lists(),
+        "discriminant": disc,
+        "relation": chow.pushforward_relation(spec).text(),
+        "restricted_pushforward": {
+            "class": {s: c.numerator if c.denominator == 1 else str(c) for s, c in restricted.coeffs.items()},
+            "text": restricted.text(),
+        },
+        "gdch": {"generators": [g.text() for g in gd.generators], "collapsed": gd.collapsed},
+    }
 
 
 def scroll_ideal_payload() -> dict:
     return {"minors": [q.text() for q in chow.quartic_scroll_minors()]}
+
+
+@functools.cache
+def _fixed_answer(build, *args) -> dict:
+    """``build(*args)``, built once per process for each builder and arguments.
+
+    The handlers of the commands without a free argument (the four ``chow``
+    surfaces, ``mukai gram-lambda`` and ``scroll-ideal``) answer through it,
+    so it holds six payloads at most.  ``emit`` only reads a payload, so a
+    held one never changes; the builders themselves return new values.
+    """
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +319,9 @@ def _parser() -> argparse.ArgumentParser:
     parse_args keeps no state in it, so one instance serves every call.
     Each leaf's ``run`` maps the parsed arguments to (command, payload).
     The handlers look the payload builders up by name when they run, so a
-    function rebound in this module after the parser is built still serves.
+    function rebound in this module after the parser is built still serves;
+    the handlers of ``chow``, ``mukai gram-lambda`` and ``scroll-ideal``
+    answer through ``_fixed_answer``, so each payload is built once.
     The parser's ``leaves`` maps the command words of each leaf, such as
     ``("mukai", "verify")`` or ``("scroll-ideal",)``, to the leaf parser and
     the namespace values its ancestors set; ``_parse_args`` hands an argv
@@ -408,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
     leaf(
         msub,
         ("mukai", "gram-lambda"),
-        lambda a: ("mukai gram-lambda", mukai_gram_lambda_payload()),
+        lambda a: ("mukai gram-lambda", _fixed_answer(mukai_gram_lambda_payload)),
         help="Euler-pairing Gram of (lambda1, lambda2)",
     )
 
@@ -420,13 +418,15 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--v", type=_vector, required=True)
     q.add_argument("--vp", type=_vector, required=True)
 
-    p = leaf(sub, ("chow",), lambda a: ("chow", chow_payload(a.surface)), help="surface class relations")
+    p = leaf(
+        sub, ("chow",), lambda a: ("chow", _fixed_answer(chow_payload, a.surface)), help="surface class relations"
+    )
     p.add_argument("--surface", required=True, choices=sorted(chow.SURFACES))
 
     leaf(
         sub,
         ("scroll-ideal",),
-        lambda a: ("scroll-ideal", scroll_ideal_payload()),
+        lambda a: ("scroll-ideal", _fixed_answer(scroll_ideal_payload)),
         help="minors cutting out the quartic scroll",
     )
 

@@ -26,7 +26,6 @@ of the whole module.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -128,8 +127,9 @@ def euler_pairing(v: CohClass, w: CohClass) -> Fraction:
     return integral(dual(v) * w * WEIGHT)
 
 
-@functools.cache
-def _lambda_gram() -> tuple[tuple[int, ...], ...]:
+def lambda_gram() -> list[list[int]]:
+    """Euler-pairing Gram matrix of (lambda_1, lambda_2), computed into new
+    lists on every call; the ``mukai gram-lambda`` command holds its payload."""
     l1, l2 = lambda_class(1), lambda_class(2)
     rows = []
     for a in (l1, l2):
@@ -139,11 +139,5 @@ def _lambda_gram() -> tuple[tuple[int, ...], ...]:
             if q.denominator != 1:
                 raise ArithmeticError("lambda pairing must be an integer")
             row.append(int(q))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def lambda_gram() -> list[list[int]]:
-    """Euler-pairing Gram matrix of (lambda_1, lambda_2), computed once per
-    process; each call returns fresh lists."""
-    return [list(row) for row in _lambda_gram()]
+        rows.append(row)
+    return rows

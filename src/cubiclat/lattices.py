@@ -100,10 +100,6 @@ class DiscriminantGroup:
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
-    @property
-    def order(self) -> int:
-        return math.prod(self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "trivial"

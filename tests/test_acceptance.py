@@ -7,6 +7,7 @@ values are exact integers or rationals; there are no tolerances beyond
 the stated time limits.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -196,7 +197,7 @@ def test_criterion_8_property_suites():
         if det == 0:
             continue
         L = Lattice(n, sym)
-        assert discriminant_group(L).order == abs(det)
+        assert math.prod(discriminant_group(L).factors) == abs(det)
         count += 1
 
     # euler pairing bilinearity on 100 random class pairs

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubiclat import admissibility, chow, cli, lattices, mukai
+from cubiclat import admissibility, chow, cli, cohomology, lattices, mukai
 from cubiclat.exactlinalg import IntMatrix, determinant
 from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
 from cubiclat.mukai import kuznetsov_rank3_lattice
@@ -580,11 +580,15 @@ def test_chow_payloads_match_library(capsys):
 
 
 def test_payloads_of_held_values_are_the_callers(capsys):
-    # the catalog lattices and the Chow parts are held; what a payload
-    # builder returns is new, so changing it changes no later answer
+    # the catalog lattices and the command line's fixed answers are held;
+    # what a payload builder returns is new, so changing it changes no
+    # later answer
+    run(capsys, "mukai", "gram-lambda")
+    run(capsys, "scroll-ideal")
     fixed = [cli.lattice_info_payload(lattices.lattice_by_name(n)) for n in ("K3", "L26")]
     surfaces = [cli.chow_payload(s) for s in sorted(chow.SURFACES)]
-    expected = json.dumps([fixed, surfaces], sort_keys=True)
+    answers = [cli.mukai_gram_lambda_payload(), cli.scroll_ideal_payload(), cohomology.lambda_gram()]
+    expected = json.dumps([fixed, surfaces, answers], sort_keys=True)
     for payload in fixed:
         payload["gram"][0][0] = 99
         payload["gram"].append([1])
@@ -594,19 +598,59 @@ def test_payloads_of_held_values_are_the_callers(capsys):
         payload["gdch"]["generators"][0] = "0"
         payload["label_gram"][0][0] = 99
         payload["restricted_pushforward"]["class"]["ell"] = 1
-    again = [cli.lattice_info_payload(lattices.lattice_by_name(n)) for n in ("K3", "L26")]
-    assert json.dumps([again, [cli.chow_payload(s) for s in sorted(chow.SURFACES)]], sort_keys=True) == expected
-    assert run_json(capsys, "chow", "--surface", "plane")["payload"] == json.loads(expected)[1][0]
+    gram_lambda, scroll_ideal, gram = answers
+    gram_lambda["gram"][0][0] = 99
+    gram_lambda["basis"].append("lambda3")
+    scroll_ideal["minors"][0] = "0"
+    scroll_ideal["minors"].append("u")
+    gram[1][1] = 99
+    gram.append([0, 0])
+    again = [
+        [cli.lattice_info_payload(lattices.lattice_by_name(n)) for n in ("K3", "L26")],
+        [cli.chow_payload(s) for s in sorted(chow.SURFACES)],
+        [cli.mukai_gram_lambda_payload(), cli.scroll_ideal_payload(), cohomology.lambda_gram()],
+    ]
+    assert json.dumps(again, sort_keys=True) == expected
+    held = json.loads(expected)
+    assert run_json(capsys, "chow", "--surface", "plane")["payload"] == held[1][0]
+    assert run_json(capsys, "mukai", "gram-lambda")["payload"] == held[2][0]
+    assert run_json(capsys, "scroll-ideal")["payload"] == held[2][1]
 
 
-def test_chow_parts_are_held_once_per_surface():
-    assert cli._chow_parts.cache_info().currsize == 0
-    for _ in range(3):
-        for name in chow.SURFACES:
-            cli.chow_payload(name)
+#: the command lines without a free argument, whose payloads cli._fixed_answer holds
+FIXED_ARGVS = [
+    *(["chow", "--surface", s] for s in sorted(chow.SURFACES)),
+    ["mukai", "gram-lambda"],
+    ["scroll-ideal"],
+]
+
+
+def test_fixed_answers_are_held_once_per_process(capsys):
+    # each fixed argv runs three times in both formats, amid every other
+    # golden argv that exits 0, and writes its golden bytes every time
+    golden = {
+        tuple(case["argv"]): case["stdout"]
+        for name in ("golden_cli.json", "golden_cli_human.json")
+        for case in json.loads((pathlib.Path(__file__).parent / name).read_text())
+        if case["exit"] == 0
+    }
+    fixed = [(*argv, *form) for argv in FIXED_ARGVS for form in ((), ("--json",))]
+    assert set(fixed) <= set(golden)
+    argvs = [argv for argv in golden if argv not in fixed] + fixed * 3
+    random.Random(35).shuffle(argvs)
+    for argv in argvs:
+        assert run(capsys, *argv) == (0, golden[argv], ""), argv
+    info = cli._fixed_answer.cache_info()
+    assert (info.currsize, info.misses) == (6, 6)
+    fresh = [(cli.chow_payload, s) for s in sorted(chow.SURFACES)]
+    fresh += [(cli.mukai_gram_lambda_payload,), (cli.scroll_ideal_payload,)]
+    for build, *args in fresh:
+        assert cli._fixed_answer(build, *args) == build(*args)
+    assert cli._fixed_answer.cache_info().misses == 6
+    # an error is not held
     with pytest.raises(KeyError):
-        cli.chow_payload("cubic")
-    assert cli._chow_parts.cache_info().currsize == len(chow.SURFACES) == 4
+        cli._fixed_answer(cli.chow_payload, "cubic")
+    assert cli._fixed_answer.cache_info().currsize == 6
 
 
 # ---------------------------------------------------------------------------
@@ -1013,14 +1057,17 @@ UNCALLED_PUBLIC = {
 
 
 def test_library_definitions_have_a_library_reference():
-    defined, used = set(), set()
+    # a method or property is referenced only as an attribute, so a local
+    # variable of the same name does not count for it; a module-level
+    # definition also by a loaded name or an import
+    top, methods, names, attrs = set(), set(), set(), set()
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
         if path.name in ("__init__.py", "__main__.py"):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defs = (ast.FunctionDef, ast.AsyncFunctionDef)
-        defined.update(node.name for node in tree.body if isinstance(node, (*defs, ast.ClassDef)))
-        defined.update(
+        top.update(node.name for node in tree.body if isinstance(node, (*defs, ast.ClassDef)))
+        methods.update(
             item.name
             for node in tree.body
             if isinstance(node, ast.ClassDef)
@@ -1028,12 +1075,36 @@ def test_library_definitions_have_a_library_reference():
             if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__"))
         )
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
-    unreferenced = defined - used
+                names.add(node.name)
+    unreferenced = (top - names - attrs) | (methods - attrs)
     assert sorted(unreferenced - set(UNCALLED_PUBLIC)) == [], "no library caller and no stated reason"
     assert sorted(set(UNCALLED_PUBLIC) - unreferenced) == [], "listed but referenced or gone"
+
+
+def test_every_hold_is_emptied_before_each_test(monkeypatch):
+    # every functools.cache of the library is cleared by the autouse
+    # fixture nothing_held, but the parser, which keeps no answer
+    import importlib
+
+    from conftest import clear_holds
+
+    holds = {}
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        module = importlib.import_module(f"cubiclat.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                holds[f"{module.__name__}.{name}"] = value
+    assert holds.pop("cubiclat.cli._parser") is cli._parser
+    assert cli._fixed_answer in holds.values()
+    cleared = set()
+    for name, hold in holds.items():
+        monkeypatch.setattr(hold, "cache_clear", lambda name=name: cleared.add(name))
+    clear_holds()
+    assert sorted(set(holds) - cleared) == [], "a hold that nothing_held leaves filled"

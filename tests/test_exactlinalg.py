@@ -624,12 +624,12 @@ def test_discriminant_group_dense_grams_have_no_cliff():
     groups = [discriminant_group(L) for L in lattices]
     assert time.perf_counter() - start < 3
     for L, group in zip(lattices, groups):
-        assert group.order == abs(determinant(L.gram))
+        assert math.prod(group.factors) == abs(determinant(L.gram))
     L = Lattice(64, dense_gram(1, 64))
     start = time.perf_counter()
     group = discriminant_group(L)
     assert time.perf_counter() - start < 2
-    assert group.order == abs(determinant(L.gram))
+    assert math.prod(group.factors) == abs(determinant(L.gram))
 
 
 def test_sign_normalize():
