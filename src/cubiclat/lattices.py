@@ -109,17 +109,9 @@ class DiscriminantGroup:
 # ---------------------------------------------------------------------------
 # constructions
 
-# The constructions without an argument, and kuznetsov_rank3_lattice at its
-# two d, are built once per process, on the first call (functools.cache).
-# A Lattice is frozen, so every caller may share the one instance.  The
-# constructions with an argument (Z(n), I(p,q), Lambda_d, twists and sums)
-# build a new lattice on every call, so what a process holds is bounded by
-# the catalog, not by its input.
-
 _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
 
-@functools.cache
 def e8() -> Lattice:
     """The positive definite even unimodular rank-8 lattice."""
     g = [[0] * 8 for _ in range(8)]
@@ -130,12 +122,10 @@ def e8() -> Lattice:
     return Lattice(8, IntMatrix(g), label="E8")
 
 
-@functools.cache
 def hyperbolic_plane() -> Lattice:
     return Lattice(2, IntMatrix([[0, 1], [1, 0]]), label="U")
 
 
-@functools.cache
 def a2() -> Lattice:
     return Lattice(2, IntMatrix([[2, -1], [-1, 2]]), label="A2")
 
@@ -508,14 +498,12 @@ def is_isometric_small(L1: Lattice, L2: Lattice) -> IsometryResult:
 # named lattices
 
 
-@functools.cache
 def cubic_lattice() -> Lattice:
     """Rank-22 lattice E8 + E8 + U + U + A2 of signature (20, 2)."""
     L = direct_sum([e8(), e8(), hyperbolic_plane(), hyperbolic_plane(), a2()])
     return Lattice(L.rank, L.gram, label="Gamma")
 
 
-@functools.cache
 def k3_lattice() -> Lattice:
     """Rank-22 lattice E8(-1) + E8(-1) + U + U + U of signature (3, 19)."""
     m1 = twist(e8(), -1)
@@ -524,7 +512,6 @@ def k3_lattice() -> Lattice:
     return Lattice(L.rank, L.gram, label="K3")
 
 
-@functools.cache
 def mukai_lattice() -> Lattice:
     """Rank-24 lattice E8 + E8 + U + U + U + U of signature (20, 4)."""
     u = hyperbolic_plane()
@@ -542,7 +529,6 @@ def k3_polarized_primitive(d: int) -> Lattice:
     return Lattice(L.rank, L.gram, label=f"Lambda_{d}")
 
 
-@functools.cache
 def middle_lattice() -> Lattice:
     """The odd unimodular lattice I(21, 2) of rank 23."""
     return odd_unimodular(21, 2)
@@ -559,7 +545,6 @@ def hyperplane_square() -> LatticeVec:
     return LatticeVec(L, (1,) * 21 + (3, 3))
 
 
-@functools.cache
 def kuznetsov_rank3_lattice(d: int) -> Lattice:
     """Built-in rank-3 lattice of determinant d on basis (lambda1, lambda2, tau).
 
@@ -576,8 +561,8 @@ def kuznetsov_rank3_lattice(d: int) -> Lattice:
 # lattice file format
 
 # A lattice file is a JSON object with fields "rank" (integer), "gram"
-# (array of arrays of integers) and optionally "label" (string).  The
-# writer is canonical (sorted keys, fixed separators, trailing newline),
+# (array of arrays of integers) and optionally "label" (printable string).
+# The writer is canonical (sorted keys, fixed separators, trailing newline),
 # so write/read/write round-trips are byte identical.  ``lattice_from_json``
 # is the one file reader: every unreadable or malformed file raises
 # ``LatticeFormatError``.
@@ -633,8 +618,9 @@ def lattice_from_json(text: str) -> Lattice:
     if rank > MAX_RANK or len(gram) > MAX_RANK or any(len(r) > MAX_RANK for r in gram):
         raise LatticeFormatError(f"a lattice file may have rank at most {MAX_RANK}")
     label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise LatticeFormatError("field 'label' must be a string")
+    # a label is printed as it is, so no line break or escape sequence
+    if label is not None and not (isinstance(label, str) and label.isprintable()):
+        raise LatticeFormatError("field 'label' must be a printable string")
     try:
         return Lattice(rank, IntMatrix(gram, ncols=rank if not gram else None), label=label)
     except TypeError as e:
@@ -701,6 +687,13 @@ CATALOG = (
 )
 
 
+@functools.cache
+def _held_entry(build) -> Lattice:
+    """``build()`` of an argument-free ``CATALOG`` entry, built on the first
+    call and held for the process: nine lattices at most, each frozen."""
+    return build()
+
+
 def lattice_by_name(name: str) -> Lattice:
     """Resolve a name, surrounding ASCII whitespace ignored, by the first entry
     of ``CATALOG`` whose pattern matches all of it, or raise ``ValueError``;
@@ -708,13 +701,16 @@ def lattice_by_name(name: str) -> Lattice:
     counted, is refused before it is converted, as in a file.
 
     The nine entries without an argument (E8, U, A2, Gamma, K3, Mukai,
-    I21_2, L26, L42) are built once per process and returned as the same
-    frozen lattice on every call, with its invariants once computed; the
-    entries with an argument (Z(n), I(p,q), Lambda_d) are built anew."""
+    I21_2, L26, L42) are held (``_held_entry``): each name returns the same
+    frozen lattice on every call, with its invariants once computed.  The
+    entries with an argument (Z(n), I(p,q), Lambda_d) and the builders
+    themselves build anew on every call."""
     # str.strip() would also take Unicode spaces, which no pattern accepts
     key = name.strip(" \t\n\r\f\v")
     for _, pattern, build, _ in CATALOG:
         if m := pattern.fullmatch(key):
+            if not pattern.groups:
+                return _held_entry(build)
             if any(len(g.lstrip("-")) > MAX_INT_DIGITS for g in m.groups()):
                 raise ValueError(f"integer with more than {MAX_INT_DIGITS} digits")
             return build(*map(int, m.groups()))

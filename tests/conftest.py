@@ -4,9 +4,6 @@ import pytest
 
 from cubiclat import admissibility, cli, lattices
 
-#: the catalog lattices a process builds once: every functools.cache of lattices
-HELD_LATTICES = [f for f in vars(lattices).values() if hasattr(f, "cache_clear")]
-
 
 def clear_holds():
     """Hold nothing, as every cubiclat process starts: no admissible list,
@@ -15,8 +12,7 @@ def clear_holds():
     no fixed command-line answer, so a chow, gram-lambda or scroll-ideal
     payload is built."""
     admissibility._held = (0, [])
-    for build in HELD_LATTICES:
-        build.cache_clear()
+    lattices._held_entry.cache_clear()
     cli._fixed_answer.cache_clear()
 
 

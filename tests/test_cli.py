@@ -255,6 +255,29 @@ def test_lattice_info_parse_error_exit_3(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "gram" in err
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "label", ["x\nrank: 99\x1b[31m", "E8\x1b[2J", "K3\u202e"], ids=["newline", "escape", "bidi"]
+)
+def test_lattice_info_unprintable_label_exit_3(capsys, tmp_path, fmt, label):
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"rank": 1, "gram": [[1]], "label": label}))
+    code, out, err = run(capsys, "lattice", "info", str(path), *fmt)
+    assert (code, out) == (3, "")
+    assert err == "error: field 'label' must be a printable string\n"
+
+
+def test_lattice_info_prints_a_non_ascii_label(capsys, tmp_path):
+    path = tmp_path / "label.json"
+    L = Lattice(1, IntMatrix([[1]]), label="café ü")
+    lattices.save_lattice(L, str(path))
+    loaded = lattices.load_lattice(str(path))
+    assert (loaded.label, lattice_to_json(loaded)) == ("café ü", path.read_text())
+    code, out, _ = run(capsys, "lattice", "info", str(path))
+    assert (code, out.splitlines()[0]) == (0, "label: café ü")
+    assert run_json(capsys, "lattice", "info", str(path))["payload"]["label"] == "café ü"
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -1056,15 +1079,22 @@ UNCALLED_PUBLIC = {
 }
 
 
+def library_modules():
+    """(module, syntax tree) of each library module but the package's own two."""
+    import importlib
+
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name not in ("__init__.py", "__main__.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            yield importlib.import_module(f"cubiclat.{path.stem}"), tree
+
+
 def test_library_definitions_have_a_library_reference():
     # a method or property is referenced only as an attribute, so a local
     # variable of the same name does not count for it; a module-level
     # definition also by a loaded name or an import
     top, methods, names, attrs = set(), set(), set(), set()
-    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
-        if path.name in ("__init__.py", "__main__.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for _, tree in library_modules():
         defs = (ast.FunctionDef, ast.AsyncFunctionDef)
         top.update(node.name for node in tree.body if isinstance(node, (*defs, ast.ClassDef)))
         methods.update(
@@ -1086,25 +1116,46 @@ def test_library_definitions_have_a_library_reference():
     assert sorted(set(UNCALLED_PUBLIC) - unreferenced) == [], "listed but referenced or gone"
 
 
+def test_public_library_callables_are_plain_functions():
+    # bench/tracing.py wraps plain functions only, so a hold such as a
+    # functools.cache stays private and the public functions stay plain
+    import inspect
+
+    assert not any(map(inspect.isfunction, (lattices._held_entry, cli._fixed_answer, cli._parser)))
+    wrapped = [
+        f"{module.__name__}.{name}"
+        for module, _ in library_modules()
+        for name, value in vars(module).items()
+        if not name.startswith("_") and callable(value) and not inspect.isclass(value)
+        if getattr(value, "__module__", None) == module.__name__ and not inspect.isfunction(value)
+    ]
+    assert wrapped == [], "a public callable that is not a plain function"
+
+
 def test_every_hold_is_emptied_before_each_test(monkeypatch):
     # every functools.cache of the library is cleared by the autouse
-    # fixture nothing_held, but the parser, which keeps no answer
-    import importlib
-
+    # fixture nothing_held, but the parser, which keeps no answer; every
+    # module global that a function rebinds (a global statement) is reset
     from conftest import clear_holds
 
-    holds = {}
-    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
-        if path.name in ("__init__.py", "__main__.py"):
-            continue
-        module = importlib.import_module(f"cubiclat.{path.stem}")
+    holds, rebound = {}, {}
+    for module, tree in library_modules():
         for name, value in vars(module).items():
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                 holds[f"{module.__name__}.{name}"] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                rebound.update((f"{module.__name__}.{name}", (module, name)) for name in node.names)
     assert holds.pop("cubiclat.cli._parser") is cli._parser
-    assert cli._fixed_answer in holds.values()
+    assert cli._fixed_answer in holds.values() and lattices._held_entry in holds.values()
+    assert "cubiclat.admissibility._held" in rebound
     cleared = set()
     for name, hold in holds.items():
         monkeypatch.setattr(hold, "cache_clear", lambda name=name: cleared.add(name))
+    sentinel = object()
+    for module, name in rebound.values():
+        monkeypatch.setattr(module, name, sentinel)
     clear_holds()
     assert sorted(set(holds) - cleared) == [], "a hold that nothing_held leaves filled"
+    left = [key for key, (module, name) in rebound.items() if getattr(module, name) is sentinel]
+    assert left == [], "a global that nothing_held leaves as it was"

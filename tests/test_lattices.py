@@ -784,17 +784,22 @@ FIXED_NAMES = ("E8", "U", "A2", "Gamma", "K3", "Mukai", "I21_2", "L26", "L42")
 
 
 def held_lattices():
-    """How many lattices the catalog's builders hold."""
-    return sum(f.cache_info().currsize for f in vars(lattices).values() if hasattr(f, "cache_info"))
+    """How many lattices ``lattice_by_name`` holds."""
+    return lattices._held_entry.cache_info().currsize
 
 
 def test_fixed_catalog_names_are_built_once():
     assert held_lattices() == 0
-    assert lattice_by_name(" k3\t") is lattice_by_name("K3") is k3_lattice()
-    for name in FIXED_NAMES:
-        assert lattice_by_name(name) is lattice_by_name(name.lower())
+    assert lattice_by_name(" k3\t") is lattice_by_name("K3") == k3_lattice()
+    assert k3_lattice() is not k3_lattice()
+    fixed = [(name, build) for name, pattern, build, _ in lattices.CATALOG if not pattern.groups]
+    assert [name for name, _ in fixed] == list(FIXED_NAMES)
+    for name, build in fixed:
+        held, fresh = lattice_by_name(name), build()
+        assert held is lattice_by_name(name.lower()) is lattice_by_name(f" {name.upper()}\n")
+        # the builder builds anew what the catalog holds
+        assert fresh == held and fresh.label == held.label and fresh is not held
     assert held_lattices() == len(FIXED_NAMES)
-    # the Lambda_d summands are held ones, but no Lambda_d is
     assert lattice_by_name("Lambda_26") is not lattice_by_name("Lambda_26")
     assert lattice_by_name("Z(5)") is not lattice_by_name("Z(5)")
     with pytest.raises(ValueError):
