@@ -87,9 +87,6 @@ class Chow3Class:
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs.items()))
 
-    def get(self, sym: str) -> Fraction:
-        return self.coeffs.get(sym, Fraction(0))
-
     def proportional_to(self, sym: str) -> bool:
         """True when the class is a rational multiple of the single symbol."""
         return all(s == sym for s in self.coeffs)

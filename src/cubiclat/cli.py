@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import io
 import json
 import os
@@ -188,18 +187,6 @@ def scroll_ideal_payload() -> dict:
     return {"minors": [q.text() for q in chow.quartic_scroll_minors()]}
 
 
-@functools.cache
-def _fixed_answer(build, *args) -> dict:
-    """``build(*args)``, built once per process for each builder and arguments.
-
-    The handlers of the commands without a free argument (the four ``chow``
-    surfaces, ``mukai gram-lambda`` and ``scroll-ideal``) answer through it,
-    so it holds six payloads at most.  ``emit`` only reads a payload, so a
-    held one never changes; the builders themselves return new values.
-    """
-    return build(*args)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -312,16 +299,15 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call rather than at import.
+    """A new command-line parser.  parse_args keeps no state in it, so
+    ``_parse_args`` builds one per process, held by ``lattices._held_entry``.
 
-    parse_args keeps no state in it, so one instance serves every call.
     Each leaf's ``run`` maps the parsed arguments to (command, payload).
     The handlers look the payload builders up by name when they run, so a
     function rebound in this module after the parser is built still serves;
     the handlers of ``chow``, ``mukai gram-lambda`` and ``scroll-ideal``
-    answer through ``_fixed_answer``, so each payload is built once.
+    answer through ``lattices._held_entry``, so each payload is built once.
     The parser's ``leaves`` maps the command words of each leaf, such as
     ``("mukai", "verify")`` or ``("scroll-ideal",)``, to the leaf parser and
     the namespace values its ancestors set; ``_parse_args`` hands an argv
@@ -406,7 +392,7 @@ def _parser() -> argparse.ArgumentParser:
     leaf(
         msub,
         ("mukai", "gram-lambda"),
-        lambda a: ("mukai gram-lambda", _fixed_answer(mukai_gram_lambda_payload)),
+        lambda a: ("mukai gram-lambda", lattices._held_entry(mukai_gram_lambda_payload)),
         help="Euler-pairing Gram of (lambda1, lambda2)",
     )
 
@@ -419,14 +405,17 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--vp", type=_vector, required=True)
 
     p = leaf(
-        sub, ("chow",), lambda a: ("chow", _fixed_answer(chow_payload, a.surface)), help="surface class relations"
+        sub,
+        ("chow",),
+        lambda a: ("chow", lattices._held_entry(chow_payload, a.surface)),
+        help="surface class relations",
     )
     p.add_argument("--surface", required=True, choices=sorted(chow.SURFACES))
 
     leaf(
         sub,
         ("scroll-ideal",),
-        lambda a: ("scroll-ideal", _fixed_answer(scroll_ideal_payload)),
+        lambda a: ("scroll-ideal", lattices._held_entry(scroll_ideal_payload)),
         help="minors cutting out the quartic scroll",
     )
 
@@ -434,7 +423,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, parsed by the leaf alone where it can be.
+    """``parse_args(argv)`` of the parser held by ``lattices._held_entry``
+    (built on the first call, not at import), parsed by the leaf alone
+    where it can be.
 
     When argv starts with a leaf's command words (two words, or failing
     that one), the rest goes to that leaf's parser, into a namespace that
@@ -447,7 +438,7 @@ def _parse_args(argv) -> argparse.Namespace:
     alone, an unknown command), the whole tree parses argv.  A leaf's
     help is printed by the leaf parser, as it is under the tree.
     """
-    parser = _parser()
+    parser = lattices._held_entry(_parser)
     argv = sys.argv[1:] if argv is None else list(argv)
     words = tuple(argv[:2])
     if words not in parser.leaves:

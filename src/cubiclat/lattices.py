@@ -672,14 +672,14 @@ CATALOG = (
     ("U", re.compile(r"U", _ANY_CASE), hyperbolic_plane, "hyperbolic plane [[0,1],[1,0]]"),
     ("A2", re.compile(r"A2", _ANY_CASE), a2, "[[2,-1],[-1,2]]"),
     ("Z(n)", re.compile(r"Z\((-?\d+)\)", _AS_SHOWN), z_lattice, "rank 1, Gram [[n]], n != 0"),
-    ("I(p,q)", re.compile(r"I\((\d+),(\d+)\)", _AS_SHOWN), _catalog_odd_unimodular,
-     f"odd unimodular, diagonal +1^p, -1^q, 0 < p + q <= {MAX_RANK}"),
     ("Gamma", re.compile(r"Gamma", _ANY_CASE), cubic_lattice, "E8 + E8 + U + U + A2, rank 22"),
     ("K3", re.compile(r"K3", _ANY_CASE), k3_lattice, "E8(-1) + E8(-1) + U + U + U, rank 22"),
     ("Mukai", re.compile(r"Mukai", _ANY_CASE), mukai_lattice, "E8 + E8 + U + U + U + U, rank 24"),
     ("Lambda_d", re.compile(r"Lambda_(\d+)", _ANY_CASE), k3_polarized_primitive,
      "E8(-1) + E8(-1) + U + U + Z(-d), rank 22, d >= 1"),
     ("I21_2", re.compile(r"I21_2|I\(21,2\)", _ANY_CASE), middle_lattice, "I(21,2), rank 23"),
+    ("I(p,q)", re.compile(r"I\((\d+),(\d+)\)", _AS_SHOWN), _catalog_odd_unimodular,
+     f"odd unimodular, diagonal +1^p, -1^q, 0 < p + q <= {MAX_RANK}"),
     ("L26", re.compile(r"L26", _ANY_CASE), lambda: kuznetsov_rank3_lattice(26),
      "rank 3, determinant 26, on the basis (lambda1, lambda2, tau)"),
     ("L42", re.compile(r"L42", _ANY_CASE), lambda: kuznetsov_rank3_lattice(42),
@@ -688,10 +688,15 @@ CATALOG = (
 
 
 @functools.cache
-def _held_entry(build) -> Lattice:
-    """``build()`` of an argument-free ``CATALOG`` entry, built on the first
-    call and held for the process: nine lattices at most, each frozen."""
-    return build()
+def _held_entry(build, *args):
+    """``build(*args)``, built on the first call and held for the process.
+
+    It is the process's one hold, of 16 objects at most: the lattices of the
+    nine argument-free ``CATALOG`` entries (each frozen), the six payloads
+    of the command lines without a free argument (``chow`` on the four
+    surfaces, ``mukai gram-lambda`` and ``scroll-ideal``, only read) and the
+    command-line parser (``parse_args`` keeps no state in it)."""
+    return build(*args)
 
 
 def lattice_by_name(name: str) -> Lattice:
@@ -701,10 +706,10 @@ def lattice_by_name(name: str) -> Lattice:
     counted, is refused before it is converted, as in a file.
 
     The nine entries without an argument (E8, U, A2, Gamma, K3, Mukai,
-    I21_2, L26, L42) are held (``_held_entry``): each name returns the same
-    frozen lattice on every call, with its invariants once computed.  The
-    entries with an argument (Z(n), I(p,q), Lambda_d) and the builders
-    themselves build anew on every call."""
+    I21_2, L26, L42) are held (``_held_entry``): each spelling of a name,
+    ``I(21,2)`` too, returns the same frozen lattice on every call, with its
+    invariants once computed.  The entries with an argument (Z(n), I(p,q),
+    Lambda_d) and the builders themselves build anew on every call."""
     # str.strip() would also take Unicode spaces, which no pattern accepts
     key = name.strip(" \t\n\r\f\v")
     for _, pattern, build, _ in CATALOG:

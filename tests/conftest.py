@@ -2,18 +2,17 @@
 
 import pytest
 
-from cubiclat import admissibility, cli, lattices
+from cubiclat import admissibility, lattices
 
 
 def clear_holds():
     """Hold nothing, as every cubiclat process starts: no admissible list,
     so a range is sieved unless the test itself sieved a larger one first;
-    no catalog lattice, so a name is built and its invariants computed; and
-    no fixed command-line answer, so a chow, gram-lambda or scroll-ideal
-    payload is built."""
+    and an empty ``lattices._held_entry``, so a catalog name is built and
+    its invariants computed, a chow, gram-lambda or scroll-ideal payload is
+    built, and so is the command-line parser."""
     admissibility._held = (0, [])
     lattices._held_entry.cache_clear()
-    cli._fixed_answer.cache_clear()
 
 
 @pytest.fixture(autouse=True)

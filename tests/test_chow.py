@@ -68,7 +68,7 @@ def test_relation_reduces_to_zero():
         zero = rel.lhs - rel.rhs
         # substituting the relation into itself kills every coefficient
         pivot = next(s for s in zero.coeffs if s != H3)
-        reduced = zero - zero.scale(zero.get(pivot) / zero.get(pivot))
+        reduced = zero - zero.scale(zero.coeffs.get(pivot, 0) / zero.coeffs.get(pivot, 0))
         assert not reduced.coeffs
         # and the identity is coefficient-exact: 3 * i_*(h|_R) - delta h^3
         assert zero == spec.pushed_class().scale(3) - Chow3Class.symbol(
@@ -156,7 +156,7 @@ def reference_reduce(c: Chow3Class, spec: SurfaceSpec) -> Chow3Class:
     rel = pushforward_relation(spec)
     zero = rel.lhs - rel.rhs
     pivot = next(s for s in zero.coeffs if s != H3)
-    return c - zero.scale(c.get(pivot) / zero.get(pivot))
+    return c - zero.scale(c.coeffs.get(pivot, 0) / zero.coeffs.get(pivot, 0))
 
 
 def reference_gdch(spec: SurfaceSpec) -> tuple[list[Chow3Class], bool]:

@@ -640,40 +640,79 @@ def test_payloads_of_held_values_are_the_callers(capsys):
     assert run_json(capsys, "scroll-ideal")["payload"] == held[2][1]
 
 
-#: the command lines without a free argument, whose payloads cli._fixed_answer holds
+#: the command lines without a free argument, whose payloads lattices._held_entry holds
 FIXED_ARGVS = [
     *(["chow", "--surface", s] for s in sorted(chow.SURFACES)),
     ["mukai", "gram-lambda"],
     ["scroll-ideal"],
 ]
 
+#: the payload builder and arguments of each of FIXED_ARGVS
+FIXED_BUILDS = [
+    *(("chow_payload", s) for s in sorted(chow.SURFACES)),
+    ("mukai_gram_lambda_payload",),
+    ("scroll_ideal_payload",),
+]
 
-def test_fixed_answers_are_held_once_per_process(capsys):
-    # each fixed argv runs three times in both formats, amid every other
-    # golden argv that exits 0, and writes its golden bytes every time
-    golden = {
+
+def golden_stdout():
+    """The stdout of every golden argv that exits 0, in both formats."""
+    return {
         tuple(case["argv"]): case["stdout"]
         for name in ("golden_cli.json", "golden_cli_human.json")
         for case in json.loads((pathlib.Path(__file__).parent / name).read_text())
         if case["exit"] == 0
     }
+
+
+def test_fixed_answers_are_held_once_per_process(capsys, monkeypatch):
+    # each fixed argv runs three times in both formats, amid every other
+    # golden argv that exits 0, and writes its golden bytes every time
+    builds, originals = collections.Counter(), {}
+    for name in {name for name, *_ in FIXED_BUILDS}:
+        originals[name] = build = getattr(cli, name)
+        counted = lambda *args, build=build, name=name: builds.update([(name, *args)]) or build(*args)
+        monkeypatch.setattr(cli, name, counted)
+    golden = golden_stdout()
     fixed = [(*argv, *form) for argv in FIXED_ARGVS for form in ((), ("--json",))]
     assert set(fixed) <= set(golden)
     argvs = [argv for argv in golden if argv not in fixed] + fixed * 3
     random.Random(35).shuffle(argvs)
     for argv in argvs:
         assert run(capsys, *argv) == (0, golden[argv], ""), argv
-    info = cli._fixed_answer.cache_info()
-    assert (info.currsize, info.misses) == (6, 6)
-    fresh = [(cli.chow_payload, s) for s in sorted(chow.SURFACES)]
-    fresh += [(cli.mukai_gram_lambda_payload,), (cli.scroll_ideal_payload,)]
-    for build, *args in fresh:
-        assert cli._fixed_answer(build, *args) == build(*args)
-    assert cli._fixed_answer.cache_info().misses == 6
+    assert builds == {build: 1 for build in FIXED_BUILDS}
+    info = lattices._held_entry.cache_info()
+    for name, *args in FIXED_BUILDS:
+        assert lattices._held_entry(getattr(cli, name), *args) == originals[name](*args)
     # an error is not held
     with pytest.raises(KeyError):
-        cli._fixed_answer(cli.chow_payload, "cubic")
-    assert cli._fixed_answer.cache_info().currsize == 6
+        lattices._held_entry(cli.chow_payload, "cubic")
+    after = lattices._held_entry.cache_info()
+    assert (after.currsize, after.misses) == (info.currsize, info.misses + 1)
+    assert builds == {build: 1 for build in FIXED_BUILDS} | {("chow_payload", "cubic"): 1}
+
+
+def test_the_one_hold_stays_bounded(capsys, tmp_path):
+    # what the process holds is the nine argument-free catalog lattices,
+    # the six fixed payloads and the parser, whatever it is asked
+    import test_golden
+
+    rng = random.Random(37)
+    names = [f"Z({rng.choice((-1, 1)) * rng.randint(1, 10**6)})" for _ in range(400)]
+    names += [f"Lambda_{rng.randint(1, 10**6)}" for _ in range(300)]
+    names += [f"I({k % 30},{k // 30 + 1})" for k in range(300)]
+    files = [tmp_path / f"{i}.json" for i in range(3)]
+    for path, L in zip(files, [middle_lattice(), kuznetsov_rank3_lattice(26), lattices.z_lattice(-5)]):
+        path.write_text(lattice_to_json(L), encoding="utf-8")
+    argvs = [list(argv) for argv in golden_stdout()]
+    argvs += [["lattice", "info", name, "--json"] for name in [*test_golden.NAMES, *names]]
+    argvs += [["lattice", "info", str(path)] for path in files]
+    argvs += [["mukai", "search", "--lattice", str(files[1]), "--d", "26", "--json"]]
+    for argv in argvs:
+        assert run(capsys, *argv)[0] in (0, 3), argv
+    i21_2 = lattices.lattice_by_name("I21_2")
+    assert lattices.lattice_by_name("I(21,2)") is i21_2 is lattices.lattice_by_name("i(21,2)")
+    assert lattices._held_entry.cache_info().currsize == 16
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +741,10 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
 
 
-def test_parser_keeps_no_state_between_calls(capsys):
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # the process builds one parser, and every call parses with it
+    built, build = [], cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda: built.append(1) or build())
     assert "reports" in run_json(capsys, "admissible", "--max", "42", "--verbose")["payload"]
     assert "reports" not in run_json(capsys, "admissible", "--max", "42")["payload"]
     code, out, _ = run(capsys, "--json", "admissible", "--max", "14")
@@ -711,7 +753,7 @@ def test_parser_keeps_no_state_between_calls(capsys):
     first = run(capsys, "mukai", "search", "--d", "26")
     assert first[0] == 2 and "--lattice" in first[2]
     assert run(capsys, "mukai", "search", "--d", "26") == first
-    assert cli._parser.cache_info().misses == 1
+    assert built == [1]
 
 
 
@@ -779,7 +821,8 @@ def parsed(parse, argv):
 
 
 def test_leaf_dispatch_parses_as_the_tree():
-    tree = cli._parser().parse_args
+    # the held tree: a namespace carries the handlers of the tree that built it
+    tree = lattices._held_entry(cli._parser).parse_args
     outcomes = collections.Counter()
     for argv in dispatch_argvs(3000, seed=30):
         got = parsed(cli._parse_args, argv)
@@ -869,17 +912,6 @@ UNIFORM_ROWS = [
         pytest.param([{"b": 1, "a": True}, {"a": None, "b": -2}, {"b": 0, "a": 0}], id="key-orders"),
         pytest.param([{"only": True}, {"only": 1}, {"only": None}], id="one-key"),
         pytest.param([{"100%": 1, "%s": True, "a\u00e9\"": None}] * 2, id="format-chars-in-keys"),
-    ],
-)
-def test_scalar_rows_take_the_row_path_and_match_json_dumps(rows):
-    for payload in ({"rows": rows}, {"rows": rows, "nested": {"rows": rows, "n": [1, 2]}}):
-        assert emitted(payload) == dumped(payload)
-    assert cli._json_text(rows, "\n") == json.dumps(rows, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
         pytest.param([{"a": 1, "b": 2}, {"a": 1, "c": 2}], id="other-key-set"),
         pytest.param([{"a": 1, "b": 2}, {"a": 1}], id="fewer-keys"),
         pytest.param([{"a": 1}, {"a": 1, "b": 2}], id="more-keys"),
@@ -892,12 +924,14 @@ def test_scalar_rows_take_the_row_path_and_match_json_dumps(rows):
         pytest.param([None, {"a": 1}], id="first-not-a-dict"),
     ],
 )
-def test_other_lists_fall_back_and_match_json_dumps(rows):
-    assert emitted({"rows": rows}) == dumped({"rows": rows})
+def test_lists_of_rows_match_json_dumps(rows):
+    for payload in ({"rows": rows}, {"rows": rows, "nested": {"rows": rows, "n": [1, 2]}}):
+        assert emitted(payload) == dumped(payload)
+    assert cli._json_text(rows, "\n") == json.dumps(rows, indent=2, sort_keys=True)
 
 
-def test_rows_with_a_float_fall_back_and_are_refused(capsys):
-    # floats are no JSON value of cubiclat: the general path refuses them
+def test_rows_with_a_float_are_refused(capsys):
+    # floats are no JSON value of cubiclat: _json_text refuses them
     rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 1}]
     with pytest.raises(TypeError):
         cli.emit("cmd", {"rows": rows}, as_json=True)
@@ -907,7 +941,7 @@ def test_rows_with_a_float_fall_back_and_are_refused(capsys):
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter prints integers of any length"
 )
-def test_scalar_rows_with_an_int_too_long_to_print(capsys):
+def test_rows_with_an_int_too_long_to_print(capsys):
     rows = [{"d": 1, "x": True}, {"d": 10**5000, "x": None}]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -1091,8 +1125,9 @@ def library_modules():
 
 def test_library_definitions_have_a_library_reference():
     # a method or property is referenced only as an attribute, so a local
-    # variable of the same name does not count for it; a module-level
-    # definition also by a loaded name or an import
+    # variable of the same name does not count for it, and not by the name
+    # of a method of a builtin container or str, such as dict.get; a
+    # module-level definition also by a loaded name or an import
     top, methods, names, attrs = set(), set(), set(), set()
     for _, tree in library_modules():
         defs = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -1111,17 +1146,25 @@ def test_library_definitions_have_a_library_reference():
                 attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-    unreferenced = (top - names - attrs) | (methods - attrs)
+    builtin = set().union(*map(dir, (dict, list, str, tuple, set)))
+    unreferenced = (top - names - attrs) | (methods - (attrs - builtin))
     assert sorted(unreferenced - set(UNCALLED_PUBLIC)) == [], "no library caller and no stated reason"
     assert sorted(set(UNCALLED_PUBLIC) - unreferenced) == [], "listed but referenced or gone"
 
 
 def test_public_library_callables_are_plain_functions():
-    # bench/tracing.py wraps plain functions only, so a hold such as a
-    # functools.cache stays private and the public functions stay plain
+    # bench/tracing.py wraps plain functions only, so the one hold, a
+    # functools.cache, stays private and the public functions stay plain
     import inspect
 
-    assert not any(map(inspect.isfunction, (lattices._held_entry, cli._fixed_answer, cli._parser)))
+    caches = [
+        value
+        for module, _ in library_modules()
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    ]
+    assert caches == [lattices._held_entry] and not inspect.isfunction(lattices._held_entry)
+    assert inspect.isfunction(cli._parser)
     wrapped = [
         f"{module.__name__}.{name}"
         for module, _ in library_modules()
@@ -1133,9 +1176,9 @@ def test_public_library_callables_are_plain_functions():
 
 
 def test_every_hold_is_emptied_before_each_test(monkeypatch):
-    # every functools.cache of the library is cleared by the autouse
-    # fixture nothing_held, but the parser, which keeps no answer; every
-    # module global that a function rebinds (a global statement) is reset
+    # the one functools.cache of the library is cleared by the autouse
+    # fixture nothing_held, and every module global that a function
+    # rebinds (a global statement) is reset
     from conftest import clear_holds
 
     holds, rebound = {}, {}
@@ -1146,8 +1189,7 @@ def test_every_hold_is_emptied_before_each_test(monkeypatch):
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 rebound.update((f"{module.__name__}.{name}", (module, name)) for name in node.names)
-    assert holds.pop("cubiclat.cli._parser") is cli._parser
-    assert cli._fixed_answer in holds.values() and lattices._held_entry in holds.values()
+    assert holds == {"cubiclat.lattices._held_entry": lattices._held_entry}
     assert "cubiclat.admissibility._held" in rebound
     cleared = set()
     for name, hold in holds.items():

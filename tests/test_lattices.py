@@ -784,7 +784,8 @@ FIXED_NAMES = ("E8", "U", "A2", "Gamma", "K3", "Mukai", "I21_2", "L26", "L42")
 
 
 def held_lattices():
-    """How many lattices ``lattice_by_name`` holds."""
+    """How many objects ``lattices._held_entry`` holds: here, where no
+    command line runs, the lattices ``lattice_by_name`` holds."""
     return lattices._held_entry.cache_info().currsize
 
 
