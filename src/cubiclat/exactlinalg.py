@@ -60,7 +60,7 @@ def sign_normalize(v: Sequence[int]) -> tuple[int, ...]:
 
 def coord_key(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Canonical ordering key for integer vectors: L1 norm, then lexicographic."""
-    return (sum(abs(a) for a in v), tuple(v))
+    return (sum(map(abs, v)), tuple(v))
 
 
 @dataclass(frozen=True, slots=True, repr=False)

@@ -22,14 +22,12 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DegenerateGramError, LatticeFormatError
 from .exactlinalg import (
     IntMatrix,
     _require_ints,
-    coord_key,
     determinant,
     dot,
     invariant_factors_mod,
@@ -363,7 +361,9 @@ def vectors_with_norm(gram: IntMatrix, value: int, bound: int) -> list[tuple[int
     (L1 norm, then lexicographic).
     """
     solutions = integer_solutions(gram.rows, (0,) * gram.nrows, value, bound)
-    return sorted((x for x in solutions if any(x)), key=coord_key)
+    # (L1 norm, x) sorts as coord_key does; zero is the one x of norm 0
+    found = sorted((sum(map(abs, x)), x) for x in solutions)
+    return [x for norm, x in found if norm]
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +399,24 @@ def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | No
 
     Column j of T is a box vector of norm g2_jj; the candidates are listed
     once per distinct norm.  Columns are placed fewest candidates first.
-    Placing one filters the candidates of every later column by their
-    pairing with it (forward checking), so a branch ends as soon as some
-    column has none left.  The filters keep each list in order, so the
-    first witness is the one that testing every pairing at placement finds.
+    Placing one filters the candidates of the later columns by their
+    pairing with it (forward checking), column by column in that order,
+    and the branch ends at the first column left with none.  The filters
+    keep each list in order, so the first witness is the one that testing
+    every pairing at placement finds.
     """
     n = g1.nrows
     norms = [g2.rows[j][j] for j in range(n)]
     lists = {c: vectors_with_norm(g1, c, bound) for c in set(norms)}
     order = sorted(range(n), key=lambda j: (len(lists[norms[j]]), j))
+
+    def paired(gx, ys, p):
+        # the y of ys with x^T g1 y = gx . y = p, written out per rank
+        if n == 3:
+            a, b, c = gx
+            return [y for y in ys if a * y[0] + b * y[1] + c * y[2] == p]
+        a, b = gx
+        return [y for y in ys if a * y[0] + b * y[1] == p]
 
     def extend(placed, pending):
         # placed holds (column, x) chosen so far; pending holds (column,
@@ -421,8 +430,13 @@ def _search_isometry(g1: IntMatrix, g2: IntMatrix, bound: int) -> IntMatrix | No
             if not placed and sign_normalize(x) != x:
                 continue
             gx = g1.mul_vec(x)
-            later = [(j, [y for y in ys if sum(map(mul, gx, y)) == pairings[j]]) for j, ys in rest]
-            if all(ys for _, ys in later):
+            later = []
+            for j, ys in rest:
+                ys = paired(gx, ys, pairings[j])
+                if not ys:
+                    break
+                later.append((j, ys))
+            else:
                 done = extend([*placed, (pos, x)], later)
                 if done is not None:
                     return done
@@ -592,13 +606,25 @@ def _parse_int(literal: str) -> int:
     return int(literal)
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of a repeated key, where a reader of the
+    # file may take the first: refuse the file instead
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise LatticeFormatError(f"field {key!r} appears more than once")
+        doc[key] = value
+    return doc
+
+
 def lattice_from_json(text: str) -> Lattice:
     """Parse a lattice file, or raise LatticeFormatError.
 
-    Integer literals longer than ``MAX_INT_DIGITS`` digits are rejected.
+    Integer literals longer than ``MAX_INT_DIGITS`` digits are rejected,
+    and so is a field that appears more than once.
     """
     try:
-        doc = json.loads(text, parse_int=_parse_int)
+        doc = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as e:
         raise LatticeFormatError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
     except RecursionError as e:

@@ -267,6 +267,25 @@ def test_lattice_info_unprintable_label_exit_3(capsys, tmp_path, fmt, label):
     assert err == "error: field 'label' must be a printable string\n"
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"gram": [[2]], "label": "x", "rank": 1, "gram": [[3]]}', "gram"),
+        ('{"rank": 1, "gram": [[2]], "rank": 1}', "rank"),
+        ('{"label": "x", "gram": [[2]], "rank": 1, "label": "y"}', "label"),
+    ],
+    ids=["gram", "rank", "label"],
+)
+def test_lattice_info_repeated_field_exit_3(capsys, tmp_path, fmt, text, field):
+    # the parser would keep the last value, where a reader may see the first
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "lattice", "info", str(path), *fmt)
+    assert (code, out) == (3, "")
+    assert err == f"error: field '{field}' appears more than once\n"
+
+
 def test_lattice_info_prints_a_non_ascii_label(capsys, tmp_path):
     path = tmp_path / "label.json"
     L = Lattice(1, IntMatrix([[1]]), label="café ü")

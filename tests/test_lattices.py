@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cubiclat import lattices
 from cubiclat.errors import DegenerateGramError, LatticeFormatError
-from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, ldlt_signature
+from cubiclat.exactlinalg import IntMatrix, coord_key, determinant, dot, ldlt_signature, sign_normalize
 from cubiclat.lattices import (
     ISOMETRIC,
     NOT_FOUND_WITHIN_BOUND,
@@ -753,6 +753,83 @@ def test_isometry_exhaustive_when_every_branch_is_pruned():
     assert all(vectors_with_norm(L1.gram, c, 6) for c in (1, 6))
     res = is_isometric_small(L1, L2)
     assert (res.status, res.reason) == (NOT_ISOMETRIC, "exhaustive")
+
+
+def first_witness_by_product(g1, g2, bound):
+    """The witness ``_search_isometry`` must return, without its search.
+
+    The columns are taken in the docstring's order (list length, then
+    column), the first one pinned to its ``sign_normalize`` form, and the
+    answer is the first tuple of ``itertools.product`` over the
+    ``vectors_with_norm`` lists whose pairings all equal g2's.
+    """
+    n = g1.nrows
+    lists = [vectors_with_norm(g1, g2.rows[j][j], bound) for j in range(n)]
+    order = sorted(range(n), key=lambda j: (len(lists[j]), j))
+    lists[order[0]] = [x for x in lists[order[0]] if sign_normalize(x) == x]
+    pairs = [(a, b, g2.rows[order[a]][order[b]]) for a in range(n) for b in range(a + 1, n)]
+    for cols in itertools.product(*(lists[j] for j in order)):
+        if all(dot(cols[a], g1.mul_vec(cols[b])) == p for a, b, p in pairs):
+            T = dict(zip(order, cols))
+            return IntMatrix([[T[j][i] for j in range(n)] for i in range(n)], ncols=n)
+    return None
+
+
+def isometry_search_cases(rng, count):
+    """Seeded (G1, G2, b) of rank 2 and 3 with b in 1..4.
+
+    First the non-isometric pairs with equal invariants <1,2,3> / <1,1,6>
+    and <1,5> / [[2,1],[1,3]] (definite), and <1,-10> / <2,-5>
+    (indefinite), both ways round.  Then G1 runs over U, A2, U + Z(e)
+    (zero diagonal entries) and random nondegenerate Grams with entries up
+    to 3, definite and indefinite.  Every third G2 is another Gram of G1's
+    bucket (rank, invariants, parity), when there is one, which may or may
+    not be isometric to G1; the rest are conjugates Q^t G1 Q.
+    """
+    fixed = [
+        (direct_sum([z_lattice(n) for n in (1, 2, 3)]), direct_sum([z_lattice(n) for n in (1, 1, 6)])),
+        (Lattice(2, IntMatrix([[1, 0], [0, 5]])), Lattice(2, IntMatrix([[2, 1], [1, 3]]))),
+        (Lattice(2, IntMatrix([[1, 0], [0, -10]])), Lattice(2, IntMatrix([[2, 0], [0, -5]]))),
+    ]
+    bases = [hyperbolic_plane(), a2()]
+    bases += [direct_sum([hyperbolic_plane(), z_lattice(e)]) for e in (-26, -6, -2, -1, 1, 3)]
+    while len(bases) < 80:
+        n = rng.randint(2, 3)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if determinant(IntMatrix(g)) != 0:
+            bases.append(Lattice(n, IntMatrix(g)))
+
+    def bucket(L):
+        return L.rank, lattices.invariants(L), all(L.gram.rows[i][i] % 2 == 0 for i in range(L.rank))
+
+    buckets = {}
+    for L in bases:
+        buckets.setdefault(bucket(L), []).append(L)
+    for case in range(count):
+        if case < 2 * len(fixed):
+            L1, L2 = fixed[case // 2][:: 1 - 2 * (case % 2)]
+        else:
+            L1 = bases[case % len(bases)]
+            others = [M for M in buckets[bucket(L1)] if M != L1]
+            if case % 3 == 0 and others:
+                L2 = rng.choice(others)
+            else:
+                Q = random_unimodular(rng, L1.rank, steps=rng.randint(1, 6))
+                L2 = Lattice(L1.rank, Q.transpose() @ L1.gram @ Q)
+        yield L1.gram, L2.gram, rng.randint(1, 4)
+
+
+def test_isometry_search_returns_the_first_witness_of_the_product():
+    counts = {"rank 2": 0, "found": 0, "none": 0}
+    for g1, g2, b in isometry_search_cases(random.Random(38), 1200):
+        want = first_witness_by_product(g1, g2, b)
+        assert _search_isometry(g1, g2, b) == want, (g1, g2, b)
+        counts["rank 2"] += g1.nrows == 2
+        counts["found" if want is not None else "none"] += 1
+    assert counts["rank 2"] >= 400 and counts["found"] >= 800 and counts["none"] >= 200, counts
 
 
 # ---------------------------------------------------------------------------
