@@ -62,7 +62,6 @@ from .lattices import (
     a2,
     cubic_lattice,
     direct_sum,
-    discriminant_group,
     e8,
     hyperbolic_plane,
     hyperplane_square,
@@ -71,6 +70,7 @@ from .lattices import (
     is_isometric_small,
     k3_lattice,
     k3_polarized_primitive,
+    kuznetsov_rank3_lattice,
     lattice_by_name,
     lattice_from_json,
     lattice_to_json,
@@ -80,7 +80,6 @@ from .lattices import (
     odd_unimodular,
     orthogonal_complement,
     save_lattice,
-    signature,
     twist,
     z_lattice,
 )
@@ -90,7 +89,6 @@ from .mukai import (
     TripleSearch,
     find_isotropic_triple,
     hyperbolic_normalize,
-    kuznetsov_rank3_lattice,
     verify_triple,
 )
 

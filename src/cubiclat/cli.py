@@ -12,7 +12,7 @@ lattice file that cannot be read or parsed, 4 domain error (degenerate
 Gram, failed precondition, a result too long to print, ``admissible
 --max`` above ``admissibility.MAX_D``, ``admissible --verbose --max``
 above ``admissibility.MAX_VERBOSE_D`` or ``mukai search --bound`` above
-``mukai.MAX_BOUND``; a value over a ceiling is rejected before any work
+``lattices.MAX_BOUND``; a value over a ceiling is rejected before any work
 starts), 5 internal error (a bug: the traceback goes to stderr and
 nothing to stdout).  Diagnostics go to stderr, payloads to stdout.
 """
@@ -307,7 +307,8 @@ def _parser() -> argparse.ArgumentParser:
     The handlers look the payload builders up by name when they run, so a
     function rebound in this module after the parser is built still serves;
     the handlers of ``chow``, ``mukai gram-lambda`` and ``scroll-ideal``
-    answer through ``lattices._held_entry``, so each payload is built once.
+    answer through ``lattices._held_entry``, so each of their six payloads
+    (``chow`` on each of the four surfaces) is built once.
     The parser's ``leaves`` maps the command words of each leaf, such as
     ``("mukai", "verify")`` or ``("scroll-ideal",)``, to the leaf parser and
     the namespace values its ancestors set; ``_parse_args`` hands an argv
@@ -380,8 +381,8 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--d", type=_integer, required=True)
 
     def search(a):
-        if a.bound > mukai.MAX_BOUND:
-            raise ValueError(f"--bound must be at most {mukai.MAX_BOUND}")
+        if a.bound > lattices.MAX_BOUND:
+            raise ValueError(f"--bound must be at most {lattices.MAX_BOUND}")
         return "mukai search", mukai_search_payload(resolve_lattice(a.lattice), a.d, a.bound)
 
     q = leaf(msub, ("mukai", "search"), search, help="search a coordinate box for a triple")

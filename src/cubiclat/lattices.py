@@ -19,7 +19,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -226,19 +228,6 @@ def _require_printable(det: int) -> None:
     # 10^limit has more than 3 limit bits: the exact test runs only past that
     if limit and abs(det).bit_length() > 3 * limit and abs(det) >= 10**limit:
         raise ValueError("the result holds an integer too long to print")
-
-
-def discriminant_group(L: Lattice) -> DiscriminantGroup:
-    """Invariant factors of the finite group L^dual / L (see ``invariants``)."""
-    return invariants(L)[2]
-
-
-def signature(L: Lattice) -> tuple[int, int]:
-    """Signature (positives, negatives) of a nondegenerate lattice."""
-    p, n, z, _ = ldlt_signature(L.gram)
-    if z != 0:
-        raise DegenerateGramError("signature requires a nondegenerate Gram")
-    return (p, n)
 
 
 def orthogonal_complement(
@@ -664,8 +653,15 @@ _MAX_FILE_CHARS = 2 * MAX_RANK * (MAX_RANK + 1) * (MAX_INT_DIGITS + 3)
 
 def load_lattice(path: str) -> Lattice:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read(_MAX_FILE_CHARS + 1)
+        # nonblocking, so that opening a FIFO does not wait for a writer
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise LatticeFormatError(f"cannot read lattice file: not a regular file: {path!r}")
+            with open(fd, "r", encoding="utf-8", closefd=False) as fh:
+                text = fh.read(_MAX_FILE_CHARS + 1)
+        finally:
+            os.close(fd)
     except (OSError, UnicodeDecodeError) as e:
         raise LatticeFormatError(f"cannot read lattice file: {e}") from e
     if len(text) > _MAX_FILE_CHARS:
@@ -717,11 +713,9 @@ CATALOG = (
 def _held_entry(build, *args):
     """``build(*args)``, built on the first call and held for the process.
 
-    It is the process's one hold, of 16 objects at most: the lattices of the
-    nine argument-free ``CATALOG`` entries (each frozen), the six payloads
-    of the command lines without a free argument (``chow`` on the four
-    surfaces, ``mukai gram-lambda`` and ``scroll-ideal``, only read) and the
-    command-line parser (``parse_args`` keeps no state in it)."""
+    It is the process's one hold: the lattices of the nine argument-free
+    ``CATALOG`` entries (each frozen), and the command line's objects that
+    ``cli._parser`` lists."""
     return build(*args)
 
 

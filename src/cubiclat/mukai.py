@@ -48,8 +48,6 @@ from .lattices import (
     invariants,
     solutions_by_shell,
 )
-from .lattices import kuznetsov_rank3_lattice  # re-exported; L26/L42 are catalog names
-from .lattices import MAX_BOUND  # re-exported; the command line's --bound ceiling
 
 
 @dataclass(frozen=True)

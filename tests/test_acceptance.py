@@ -34,17 +34,16 @@ from cubiclat.exactlinalg import IntMatrix, determinant, smith_normal_form
 from cubiclat.lattices import (
     Lattice,
     cubic_lattice,
-    discriminant_group,
+    invariants,
     k3_polarized_primitive,
+    kuznetsov_rank3_lattice,
     mukai_lattice,
-    signature,
 )
 from cubiclat.mukai import (
     FOUND,
     IsotropicTriple,
     find_isotropic_triple,
     hyperbolic_normalize,
-    kuznetsov_rank3_lattice,
     verify_triple,
 )
 
@@ -109,11 +108,11 @@ def test_criterion_5_lattice_catalog():
     t0 = time.monotonic()
     assert abs(determinant(kuznetsov_rank3_lattice(26).gram)) == 26
     assert abs(determinant(kuznetsov_rank3_lattice(42).gram)) == 42
-    assert discriminant_group(cubic_lattice()).factors == (3,)
+    assert invariants(cubic_lattice())[2].factors == (3,)
     for d in enumerate_admissible(78):
-        assert discriminant_group(k3_polarized_primitive(d)).factors == (d,)
-    assert signature(cubic_lattice()) == (20, 2)
-    assert signature(mukai_lattice()) == (20, 4)
+        assert invariants(k3_polarized_primitive(d))[2].factors == (d,)
+    assert invariants(cubic_lattice())[0] == (20, 2)
+    assert invariants(mukai_lattice())[0] == (20, 4)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     report(5, "lattice-catalog", elapsed)
@@ -197,7 +196,7 @@ def test_criterion_8_property_suites():
         if det == 0:
             continue
         L = Lattice(n, sym)
-        assert math.prod(discriminant_group(L).factors) == abs(det)
+        assert math.prod(invariants(L)[2].factors) == abs(det)
         count += 1
 
     # euler pairing bilinearity on 100 random class pairs

@@ -27,9 +27,9 @@ from cubiclat.admissibility import (
     satisfies_star_star,
 )
 from cubiclat.lattices import (
-    discriminant_group,
     hyperplane_square,
     inner_product,
+    invariants,
     middle_lattice,
     orthogonal_complement,
 )
@@ -320,7 +320,7 @@ def test_star_star_matches_the_discriminant_form_of_the_complement():
         T = special_class(d)
         a, t = inner_product(M, T, h2), inner_product(M, T, T)
         assert a in (0, 1) and 3 * t - a * a == d
-        group = discriminant_group(orthogonal_complement(M, [h2, T])[0])
+        group = invariants(orthogonal_complement(M, [h2, T])[0])[2]
         matches = group.factors == (d,)
         if matches:
             dq = complement_form(d, a, t)

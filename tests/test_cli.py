@@ -24,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubiclat import admissibility, chow, cli, cohomology, lattices, mukai
 from cubiclat.exactlinalg import IntMatrix, determinant
-from cubiclat.lattices import Lattice, lattice_to_json, middle_lattice
-from cubiclat.mukai import kuznetsov_rank3_lattice
+from cubiclat.lattices import Lattice, kuznetsov_rank3_lattice, lattice_to_json, middle_lattice
 
 
 def run(capsys, *argv):
@@ -166,11 +165,11 @@ def test_admissible_slice_of_the_held_list_is_pinned(capsys, monkeypatch):
 
 def test_mukai_search_bound_ceiling_exit_4_before_searching(capsys, monkeypatch):
     monkeypatch.setattr(mukai, "find_isotropic_triple", refuse)
-    over = str(mukai.MAX_BOUND + 1)
+    over = str(lattices.MAX_BOUND + 1)
     argv = ["mukai", "search", "--lattice", "L26", "--d", "26", "--bound"]
     assert_one_error_line(*run(capsys, *argv, over))
     with pytest.raises(Started):
-        cli.main(argv + [str(mukai.MAX_BOUND)])
+        cli.main(argv + [str(lattices.MAX_BOUND)])
 
 
 def test_admissible_verbose_ceiling_exit_4_before_reporting(capsys, monkeypatch):
@@ -469,7 +468,7 @@ def test_mukai_search_file_with_huge_entry_at_max_bound(capsys, tmp_path):
     path = tmp_path / "uz_huge.json"
     uz = lattices.direct_sum([lattices.hyperbolic_plane(), lattices.z_lattice(-e)])
     lattices.save_lattice(uz, str(path))
-    argv = ["--lattice", str(path), "--d", str(e), "--bound", str(mukai.MAX_BOUND)]
+    argv = ["--lattice", str(path), "--d", str(e), "--bound", str(lattices.MAX_BOUND)]
     doc = run_json(capsys, "mukai", "search", *argv)
     assert doc["payload"]["status"] == "found"
     assert doc["payload"]["all_ok"] is True
@@ -1086,6 +1085,29 @@ def test_closed_stdout_exits_1_without_traceback():
             assert (proc.wait(timeout=60), err) == (1, b""), (argv, unbuffered)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_lattice_info_fifo_exits_3_without_waiting_for_a_writer(tmp_path):
+    # opening a FIFO waits for a writer, so a reader that opened it would
+    # hang; a subprocess with a timeout turns such a hang into a failure
+    import subprocess
+
+    import cubiclat
+
+    fifo = tmp_path / "lattice.json"
+    os.mkfifo(fifo)
+    src = str(pathlib.Path(cubiclat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "cubiclat", "lattice", "info", str(fifo), "--json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == f"error: cannot read lattice file: not a regular file: {str(fifo)!r}\n"
+
+
 def test_runtime_imports_are_stdlib_only():
     import os
     import pathlib
@@ -1123,8 +1145,6 @@ UNCALLED_PUBLIC = {
     "hyperplane_square": "the README's convention for h^2",
     "save_lattice": "the writer of the lattice file format",
     "inner_product": "the bilinear form on vectors or coordinates",
-    "signature": "part of invariants, without the elimination modulo |det|",
-    "discriminant_group": "part of invariants",
     "smith_normal_form": "the discriminant form (ROADMAP item 8) gives it its library caller",
     "scroll_parameterization": "the parameterization the scroll's minors are tested against",
     "scroll_membership": "the parameterization the scroll's minors are tested against",
@@ -1169,6 +1189,19 @@ def test_library_definitions_have_a_library_reference():
     unreferenced = (top - names - attrs) | (methods - (attrs - builtin))
     assert sorted(unreferenced - set(UNCALLED_PUBLIC)) == [], "no library caller and no stated reason"
     assert sorted(set(UNCALLED_PUBLIC) - unreferenced) == [], "listed but referenced or gone"
+
+
+def test_library_imports_from_the_package_are_used():
+    # a name is imported from its owner where it is used, never passed on:
+    # a module that only re-exports a name gives it a second door
+    unused = []
+    for module, tree in library_modules():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = (alias.asname or alias.name for alias in node.names)
+                unused += [f"{module.__name__}: {name}" for name in names if name not in loaded]
+    assert unused == [], "imported from another cubiclat module and not used"
 
 
 def test_public_library_callables_are_plain_functions():

@@ -25,7 +25,7 @@ from cubiclat.exactlinalg import (
     smith_normal_form,
     xgcd,
 )
-from cubiclat.lattices import Lattice, discriminant_group, invariants, signature
+from cubiclat.lattices import Lattice, invariants
 
 
 def laplace_det(rows):
@@ -488,9 +488,9 @@ def test_snf_discriminant_group_and_determinant_match_sympy():
         assert determinant(M) == Matrix(rows).det(), rows
         if 0 in factors:
             with pytest.raises(DegenerateGramError):
-                discriminant_group(Lattice(n, M))
+                invariants(Lattice(n, M))
         else:
-            assert discriminant_group(Lattice(n, M)).factors == tuple(
+            assert invariants(Lattice(n, M))[2].factors == tuple(
                 x for x in factors if x > 1
             ), rows
 
@@ -513,18 +513,14 @@ def test_invariant_factors_mod_and_bareiss_det_match_sympy():
         if det == 0:
             degenerate += 1
             with pytest.raises(DegenerateGramError):
-                discriminant_group(Lattice(n, M))
-            with pytest.raises(DegenerateGramError):
                 invariants(Lattice(n, M))
             continue
         factors = tuple(int(x) for x in invariant_factors(Matrix(rows), domain=ZZ) if x > 1)
         noncyclic += len(factors) > 1
         for D in (abs(det), 3 * abs(det), max(factors, default=1)):
             assert invariant_factors_mod(M, D) == factors, (rows, D)
-        L = Lattice(n, M)
-        assert discriminant_group(L).factors == factors
-        sig, inv_det, group = invariants(L)
-        assert (sig, inv_det, group.factors) == (signature(L), Matrix(rows).det(), factors), rows
+        _, inv_det, group = invariants(Lattice(n, M))
+        assert (inv_det, group.factors) == (Matrix(rows).det(), factors), rows
     assert degenerate >= 10 and noncyclic >= 10
 
 
@@ -586,9 +582,9 @@ def test_kernel_and_discriminant_group_agree_with_full_snf():
         diag = snf_diag(smith_normal_form(G)[0])
         if 0 in diag:
             with pytest.raises(DegenerateGramError):
-                discriminant_group(Lattice(n, G))
+                invariants(Lattice(n, G))
         else:
-            assert discriminant_group(Lattice(n, G)).factors == tuple(
+            assert invariants(Lattice(n, G))[2].factors == tuple(
                 x for x in diag if x > 1
             )
 
@@ -610,7 +606,7 @@ def test_discriminant_group_does_not_carry_transforms():
     # about 0.02 s there
     L = Lattice(40, dense_gram(4, 40))
     start = time.perf_counter()
-    group = discriminant_group(L)
+    group = invariants(L)[2]
     assert time.perf_counter() - start < 1.5
     assert math.prod(group.factors) == abs(determinant(L.gram))
 
@@ -621,13 +617,13 @@ def test_discriminant_group_dense_grams_have_no_cliff():
     # and rank 64 took 0.09 s on a 2-vCPU host
     lattices = [Lattice(40, dense_gram(seed, 40)) for seed in range(1, 16)]
     start = time.perf_counter()
-    groups = [discriminant_group(L) for L in lattices]
+    groups = [invariants(L)[2] for L in lattices]
     assert time.perf_counter() - start < 3
     for L, group in zip(lattices, groups):
         assert math.prod(group.factors) == abs(determinant(L.gram))
     L = Lattice(64, dense_gram(1, 64))
     start = time.perf_counter()
-    group = discriminant_group(L)
+    group = invariants(L)[2]
     assert time.perf_counter() - start < 2
     assert math.prod(group.factors) == abs(determinant(L.gram))
 

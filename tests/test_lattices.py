@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import pathlib
 import random
 import sys
@@ -25,15 +26,16 @@ from cubiclat.lattices import (
     cubic_lattice,
     direct_sum,
     _search_isometry,
-    discriminant_group,
     e8,
     hyperbolic_plane,
     hyperplane_square,
     inner_product,
     integer_solutions,
+    invariants,
     is_isometric_small,
     k3_lattice,
     k3_polarized_primitive,
+    kuznetsov_rank3_lattice,
     lattice_by_name,
     lattice_from_json,
     lattice_to_json,
@@ -42,13 +44,12 @@ from cubiclat.lattices import (
     mukai_lattice,
     odd_unimodular,
     orthogonal_complement,
-    signature,
     solutions_by_shell,
     twist,
     vectors_with_norm,
     z_lattice,
 )
-from cubiclat.mukai import _min_dual_one, kuznetsov_rank3_lattice
+from cubiclat.mukai import _min_dual_one
 
 
 def random_unimodular(rng, n, steps=10, coef=2):
@@ -76,9 +77,9 @@ def test_e8_is_even_unimodular_positive_definite():
     L = e8()
     assert L.rank == 8
     assert determinant(L.gram) == 1
-    assert signature(L) == (8, 0)
+    assert invariants(L)[0] == (8, 0)
     assert all(L.gram.rows[i][i] % 2 == 0 for i in range(8))
-    assert discriminant_group(L).factors == ()
+    assert invariants(L)[2].factors == ()
 
 
 def test_standard_lattice_parser():
@@ -164,10 +165,10 @@ def test_inner_product_rejects_mismatch():
 
 
 def test_discriminant_groups():
-    assert discriminant_group(e8()).factors == ()
-    assert discriminant_group(a2()).factors == (3,)
-    assert discriminant_group(k3_polarized_primitive(26)).factors == (26,)
-    assert discriminant_group(cubic_lattice()).factors == (3,)
+    assert invariants(e8())[2].factors == ()
+    assert invariants(a2())[2].factors == (3,)
+    assert invariants(k3_polarized_primitive(26))[2].factors == (26,)
+    assert invariants(cubic_lattice())[2].factors == (3,)
 
 
 @pytest.mark.parametrize(
@@ -191,9 +192,7 @@ def test_trivial_discriminant_group_prints_trivial():
 def test_discriminant_group_rejects_degenerate():
     L = Lattice(2, IntMatrix([[1, 1], [1, 1]]))
     with pytest.raises(DegenerateGramError):
-        discriminant_group(L)
-    with pytest.raises(DegenerateGramError):
-        signature(L)
+        invariants(L)
 
 
 def test_discriminant_order_equals_abs_det():
@@ -206,16 +205,16 @@ def test_discriminant_order_equals_abs_det():
         if determinant(sym) == 0:
             continue
         L = Lattice(n, sym)
-        assert math.prod(discriminant_group(L).factors) == abs(determinant(sym))
+        assert math.prod(invariants(L)[2].factors) == abs(determinant(sym))
         count += 1
 
 
 def test_signatures():
-    assert signature(cubic_lattice()) == (20, 2)
-    assert signature(mukai_lattice()) == (20, 4)
-    assert signature(z_lattice(-26)) == (0, 1)
-    assert signature(k3_lattice()) == (3, 19)
-    assert signature(middle_lattice()) == (21, 2)
+    assert invariants(cubic_lattice())[0] == (20, 2)
+    assert invariants(mukai_lattice())[0] == (20, 4)
+    assert invariants(z_lattice(-26))[0] == (0, 1)
+    assert invariants(k3_lattice())[0] == (3, 19)
+    assert invariants(middle_lattice())[0] == (21, 2)
 
 
 def test_signature_unimodular_invariance():
@@ -224,7 +223,7 @@ def test_signature_unimodular_invariance():
     for _ in range(20):
         Q = random_unimodular(rng, 3)
         cong = Lattice(3, Q.transpose() @ L.gram @ Q)
-        assert signature(cong) == signature(L)
+        assert invariants(cong)[0] == invariants(L)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +256,8 @@ def test_complement_of_hyperplane_square():
     assert inner_product(L, h2, h2) == 3
     sub, basis = orthogonal_complement(L, [h2])
     assert sub.rank == 22
-    assert discriminant_group(sub).factors == (3,)
-    assert signature(sub) == (20, 2)
+    assert invariants(sub)[2].factors == (3,)
+    assert invariants(sub)[0] == (20, 2)
     # h2 is characteristic, so the complement is even, as Gamma is
     assert all(sub.gram.rows[i][i] % 2 == 0 for i in range(sub.rank))
     assert spans_primitive([b.coords for b in basis])
@@ -604,7 +603,7 @@ def definite_pairs(rng, count):
             other = Lattice(n, Q.transpose() @ L.gram @ Q)
         else:
             parity = all(g[i][i] % 2 == 0 for i in range(n))
-            key = (determinant(L.gram), signature(L), discriminant_group(L), parity)
+            key = (invariants(L), parity)
             bucket = buckets.setdefault(key, [])
             other = next((M for M in bucket if M != L), None)
             bucket.insert(0, L)
@@ -975,6 +974,20 @@ def test_file_roundtrip_via_disk(tmp_path):
     L = kuznetsov_rank3_lattice(26)
     save_lattice(L, str(path))
     assert load_lattice(str(path)) == L
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_load_lattice_closes_its_descriptor_on_every_path(tmp_path):
+    # a raw descriptor left open raises no ResourceWarning, so count them
+    good, not_utf8 = tmp_path / "u.json", tmp_path / "bad.json"
+    lattices.save_lattice(hyperbolic_plane(), str(good))
+    not_utf8.write_bytes(b'{"rank": 1, "gram": [[1]], "label": "\xff"}')
+    before = len(os.listdir("/dev/fd"))
+    assert load_lattice(str(good)) == hyperbolic_plane()
+    for path, reason in [(not_utf8, "codec"), (tmp_path, "not a regular file"), (os.devnull, "not a regular file")]:
+        with pytest.raises(LatticeFormatError, match=reason):
+            load_lattice(str(path))
+    assert len(os.listdir("/dev/fd")) == before
 
 
 # nesting past the interpreter's recursion limit, an integer past its digit limit

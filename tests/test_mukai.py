@@ -19,11 +19,13 @@ from cubiclat.exactlinalg import (
     sign_normalize,
 )
 from cubiclat.lattices import (
+    MAX_BOUND,
     Lattice,
     direct_sum,
     e8,
     hyperbolic_plane,
     inner_product,
+    kuznetsov_rank3_lattice,
     lattice_by_name,
     odd_unimodular,
     orthogonal_complement,
@@ -33,12 +35,10 @@ from cubiclat.lattices import (
 from cubiclat.mukai import (
     FOUND,
     IMPOSSIBLE,
-    MAX_BOUND,
     NOT_FOUND_WITHIN_BOUND,
     IsotropicTriple,
     find_isotropic_triple,
     hyperbolic_normalize,
-    kuznetsov_rank3_lattice,
     verify_triple,
 )
 
